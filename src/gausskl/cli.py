@@ -102,13 +102,9 @@ def _cmd_kl(args) -> int:
     # literal zeros off the diagonal, no tolerance.
     off_diag = raw_x[~np.eye(sx.dim, dtype=bool)]
     if off_diag.size == 0 or np.all(off_diag == 0.0):
-        if identical:
-            results["bound_nats"] = 0.0
-            results["gap_nats"] = 0.0
-        else:
-            rep = kl_gap_diagonal(sx.diagonal(), sy)
-            results["bound_nats"] = rep.bound
-            results["gap_nats"] = rep.gap
+        rep = kl_gap_diagonal(sx.diagonal(), sy)
+        results["bound_nats"] = rep.bound
+        results["gap_nats"] = rep.gap
     _check_finite(results)
 
     report = {

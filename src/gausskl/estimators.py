@@ -3,13 +3,14 @@
 Two model families, both zero-mean and both with exactly evaluable log
 densities:
 
-* Gaussian with a factored covariance.
+* Gaussian with a certified covariance, read through its stored factor.
 * Two-component Gaussian mixture whose components are scaled copies of a
   target covariance, engineered so the overall covariance equals the target
-  exactly (zero-mean components make covariances additive).  For any positive
-  spread the mixture is genuinely non-Gaussian, which makes it a tractable
-  witness family for divergence inequalities that range over all
-  distributions with a prescribed covariance.
+  exactly (zero-mean components make covariances additive).  Both components
+  share the target's factor, scaled.  For any positive spread the mixture is
+  genuinely non-Gaussian, which makes it a tractable witness family for
+  divergence inequalities that range over all distributions with a
+  prescribed covariance.
 
 The estimator evaluates the divergence definition directly: a sample average
 of ``log p_y - log p_x`` under draws from ``p_y``.  It shares no code path
@@ -29,7 +30,7 @@ from scipy.linalg import solve_triangular
 
 from .divergence import LN_2PI, Nats
 from .errors import BuildError, DimensionMismatch, SpreadTooLarge
-from .linalg import CholFactor, SpdMatrix, cholesky, validate_spd
+from .linalg import SpdMatrix
 
 # Build-time normalization self-check (scalar models only): quadrature of the
 # density over [-40*sigma, 40*sigma] must integrate to 1 within this.
@@ -38,58 +39,68 @@ _NORMALIZATION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """Zero-mean Gaussian with factored covariance."""
+    """Zero-mean Gaussian with a certified covariance."""
 
-    dim: int
-    factor: CholFactor
+    covariance: SpdMatrix
 
-    kind = "gaussian"
+    @property
+    def dim(self) -> int:
+        return self.covariance.dim
 
     def log_density_batch(self, points: np.ndarray) -> np.ndarray:
-        return _gaussian_log_density(self.factor, points)
+        quad_form = _quad_form(self.covariance, points)
+        return -0.5 * (self.dim * LN_2PI + self.covariance.log_det + quad_form)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
         """n draws as L @ z for standard-normal z (numpy PCG64 generator)."""
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((n, self.dim))
-        return z @ self.factor.lower.T
+        return z @ self.covariance.lower.T
 
 
 @dataclass(frozen=True)
 class MixtureModel:
     """Zero-mean two-component Gaussian mixture with prescribed covariance.
 
-    ``covariance`` is the exact overall covariance
-    ``weight * S1 + (1 - weight) * S2``.
+    Component one has covariance ``scale_one * covariance`` and weight
+    ``weight``, component two ``scale_two * covariance``.  ``covariance`` is
+    the exact overall covariance when
+    ``weight * scale_one + (1 - weight) * scale_two == 1``.
     """
 
-    dim: int
     weight: float
-    factor_one: CholFactor
-    factor_two: CholFactor
+    scale_one: float
+    scale_two: float
     covariance: SpdMatrix
 
-    kind = "two-component-mixture"
+    @property
+    def dim(self) -> int:
+        return self.covariance.dim
 
     def log_density_batch(self, points: np.ndarray) -> np.ndarray:
-        # Max-shifted log-sum of the two weighted component densities, so a
-        # far-tail point where one component underflows stays finite.
-        a = math.log(self.weight) + _gaussian_log_density(self.factor_one, points)
-        b = math.log1p(-self.weight) + _gaussian_log_density(self.factor_two, points)
+        # One solve against the target's factor serves both components:
+        # component c has quadratic form q / scale_c and log-determinant
+        # log_det + m * ln(scale_c).  Max-shifted log-sum of the two weighted
+        # densities, so a far-tail point where one component underflows
+        # stays finite.
+        quad_form = _quad_form(self.covariance, points)
+        base = self.dim * LN_2PI + self.covariance.log_det
+        s1, s2 = self.scale_one, self.scale_two
+        a = math.log(self.weight) - 0.5 * (base + self.dim * math.log(s1) + quad_form / s1)
+        b = math.log1p(-self.weight) - 0.5 * (base + self.dim * math.log(s2) + quad_form / s2)
         return np.logaddexp(a, b)
 
     def sample(self, n: int, seed: int) -> np.ndarray:
-        """Per draw: one uniform picks the component, then L_c @ z.
+        """Per draw: one uniform picks the component c, then sqrt(scale_c) L @ z.
 
         The generator emits the n component-selection uniforms first, then a
-        single (n, dim) standard-normal block shared by both transforms.
+        single (n, dim) standard-normal block shared by both components.
         """
         rng = np.random.default_rng(seed)
         pick_one = rng.random(n) < self.weight
         z = rng.standard_normal((n, self.dim))
-        x1 = z @ self.factor_one.lower.T
-        x2 = z @ self.factor_two.lower.T
-        return np.where(pick_one[:, None], x1, x2)
+        sd = np.where(pick_one, math.sqrt(self.scale_one), math.sqrt(self.scale_two))
+        return (z @ self.covariance.lower.T) * sd[:, None]
 
 
 DensityModel = Union[GaussianModel, MixtureModel]
@@ -110,18 +121,12 @@ class McEstimate:
     seed: int
 
 
-def _gaussian_log_density(factor: CholFactor, points: np.ndarray) -> np.ndarray:
-    u = solve_triangular(factor.lower, points.T, lower=True, check_finite=False)
-    quad_form = np.sum(u * u, axis=0)
-    return -0.5 * (factor.dim * LN_2PI + factor.log_det + quad_form)
+def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
+    u = solve_triangular(cov.lower, points.T, lower=True, check_finite=False)
+    return np.sum(u * u, axis=0)
 
 
-def _check_scalar_normalization(model: DensityModel) -> None:
-    if model.kind == "gaussian":
-        sigma = float(model.factor.lower[0, 0])
-    else:
-        sigma = max(float(model.factor_one.lower[0, 0]), float(model.factor_two.lower[0, 0]))
-
+def _check_scalar_normalization(model: DensityModel, sigma: float) -> None:
     def density(u: float) -> float:
         return math.exp(log_density(model, np.array([u])))
 
@@ -135,13 +140,13 @@ def _check_scalar_normalization(model: DensityModel) -> None:
 
 def build_gaussian(cov: SpdMatrix) -> GaussianModel:
     """Gaussian model from a certified covariance."""
-    model = GaussianModel(dim=cov.dim, factor=cholesky(cov))
+    model = GaussianModel(covariance=cov)
     if cov.dim == 1:
-        _check_scalar_normalization(model)
+        _check_scalar_normalization(model, float(cov.lower[0, 0]))
     return model
 
 
-def build_matched_mixture(target: SpdMatrix, w: float, spread: float, seed: int = 0) -> MixtureModel:
+def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> MixtureModel:
     """Two-component mixture whose overall covariance equals ``target`` exactly.
 
     Components are scaled copies of the target:
@@ -151,8 +156,7 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float, seed: int 
 
     so that w*S1 + (1-w)*S2 = target identically.  Any spread in (0, 1) keeps
     both components SPD and makes the mixture non-Gaussian.  The construction
-    is deterministic in (target, w, spread); ``seed`` is accepted for
-    signature symmetry with the samplers and does not affect the model.
+    is deterministic in (target, w, spread).
     """
     if not (0.0 < w < 1.0):
         raise BuildError(f"mixture weight must lie strictly in (0, 1), got {w!r}")
@@ -164,12 +168,11 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float, seed: int 
         raise SpreadTooLarge(
             f"spread {spread!r} drives a component scale to {min(scale_one, scale_two)!r}"
         )
-    f1 = cholesky(validate_spd(scale_one * target.entries))
-    f2 = cholesky(validate_spd(scale_two * target.entries))
-    model = MixtureModel(dim=target.dim, weight=w, factor_one=f1, factor_two=f2,
+    model = MixtureModel(weight=w, scale_one=scale_one, scale_two=scale_two,
                          covariance=target)
     if target.dim == 1:
-        _check_scalar_normalization(model)
+        _check_scalar_normalization(
+            model, math.sqrt(max(scale_one, scale_two)) * float(target.lower[0, 0]))
     return model
 
 

@@ -1,10 +1,10 @@
 """Dense symmetric positive-definite matrix kernels.
 
-Covariance matrices enter as raw arrays, get certified by :func:`validate_spd`,
-and are consumed through their Cholesky factors.  Explicit matrix inversion is
-never used; every application of an inverse goes through triangular solves
-against the factor, which is the numerically robust route for ill-conditioned
-input.
+Covariance matrices enter as raw arrays and get certified by
+:func:`validate_spd`, which keeps the Cholesky factor it computes: every
+consumer reads that one factor.  Explicit matrix inversion is never used;
+every application of an inverse goes through triangular solves against the
+factor, which is the numerically robust route for ill-conditioned input.
 """
 
 from __future__ import annotations
@@ -42,28 +42,20 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
 
-    Construct via :func:`validate_spd`; the entries array is read-only.
+    Construct via :func:`validate_spd`.  ``lower`` is the lower-triangular
+    Cholesky factor (``lower @ lower.T`` reconstructs ``entries``) and
+    ``log_det`` the log-determinant, ``2 * sum(log(diag(lower)))``.  Both
+    arrays are read-only.
     """
 
     dim: int
     entries: np.ndarray
+    lower: np.ndarray
+    log_det: float
 
     def diagonal(self) -> "DiagSpectrum":
         """The diagonal variances as a spectrum (always positive for SPD)."""
         return DiagSpectrum.from_variances(np.diag(self.entries))
-
-
-@dataclass(frozen=True)
-class CholFactor:
-    """Lower-triangular Cholesky factor of an SpdMatrix.
-
-    ``lower @ lower.T`` reconstructs the source matrix; ``log_det`` is the
-    log-determinant of the source, equal to ``2 * sum(log(diag(lower)))``.
-    """
-
-    dim: int
-    lower: np.ndarray
-    log_det: float
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,9 @@ def validate_spd(raw) -> SpdMatrix:
 
     Asymmetry within ``ASYMMETRY_TOL`` (relative, with an absolute floor of 1)
     is averaged away as ``(raw + raw.T) / 2``; larger asymmetry is an error.
-    Positive definiteness is decided by attempting a Cholesky factorization,
-    which is the operation actually consumed downstream.
+    Positive definiteness is decided by a Cholesky factorization, which the
+    result keeps: LAPACK fails on any pivot that is not positive, so a
+    returned factor has a positive diagonal and a finite log-determinant.
 
     Raises
     ------
@@ -115,9 +108,8 @@ def validate_spd(raw) -> SpdMatrix:
     if not np.all(np.isfinite(arr)):
         raise NotPositiveDefinite("matrix has non-finite entries")
 
-    scale = np.maximum(1.0, np.abs(arr))
-    rel_asym = np.abs(arr - arr.T) / scale
-    worst = float(rel_asym.max())
+    # One expression, so no (m, m) temporary outlives it.
+    worst = float((np.abs(arr - arr.T) / np.maximum(1.0, np.abs(arr))).max())
     if worst > ASYMMETRY_TOL:
         raise AsymmetryExceedsTolerance(
             f"relative asymmetry {worst:.3e} exceeds tolerance {ASYMMETRY_TOL:.1e}"
@@ -125,39 +117,26 @@ def validate_spd(raw) -> SpdMatrix:
 
     sym = 0.5 * (arr + arr.T)
     try:
-        np.linalg.cholesky(sym)
+        lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    return SpdMatrix(dim=dim, entries=_readonly(sym))
+    # Both arrays are fresh, so they are frozen in place rather than copied.
+    sym.flags.writeable = False
+    lower.flags.writeable = False
+    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return SpdMatrix(dim=dim, entries=sym, lower=lower, log_det=log_det)
 
 
-def cholesky(a: SpdMatrix) -> CholFactor:
-    """Lower-triangular factorization with cached log-determinant.
-
-    Raises NotPositiveDefinite if a pivot underflows despite validation
-    (near-singular input).
-    """
-    try:
-        lower = np.linalg.cholesky(a.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"factorization failed: {exc}") from exc
-    diag = np.diag(lower)
-    if np.any(diag <= 0.0):
-        raise NotPositiveDefinite("factorization produced a non-positive pivot")
-    log_det = 2.0 * float(np.sum(np.log(diag)))
-    return CholFactor(dim=a.dim, lower=_readonly(lower), log_det=log_det)
-
-
-def trace_ratio(sy: SpdMatrix, fx: CholFactor) -> float:
-    """tr(sy @ inv(sx)) where ``fx`` factors sx, via triangular solves.
+def trace_ratio(sy: SpdMatrix, sx: SpdMatrix) -> float:
+    """tr(sy @ inv(sx)) via triangular solves against sx's stored factor.
 
     With sx = L L^T, tr(sy sx^-1) = tr(L^-1 sy L^-T); both inverse
     applications are forward substitutions against L.
     """
-    if sy.dim != fx.dim:
-        raise DimensionMismatch(f"matrix dim {sy.dim} != factor dim {fx.dim}")
-    w = solve_triangular(fx.lower, sy.entries, lower=True)
-    v = solve_triangular(fx.lower, w.T, lower=True)
+    if sy.dim != sx.dim:
+        raise DimensionMismatch(f"matrix dims differ: {sy.dim} != {sx.dim}")
+    w = solve_triangular(sx.lower, sy.entries, lower=True)
+    v = solve_triangular(sx.lower, w.T, lower=True)
     return float(np.trace(v))
 
 

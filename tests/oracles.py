@@ -1,12 +1,13 @@
 """Independent numerical oracles used across the test suite.
 
 Everything here evaluates definitions directly (quadrature of densities,
-hand-rolled 2x2 determinants) and deliberately shares no code with the
-package under test.
+hand-rolled 2x2 determinants, LU log-determinants) and deliberately shares
+no code with the package under test.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 
 
@@ -44,3 +45,12 @@ def entropy_quad(var: float) -> float:
 def det2(m) -> float:
     """2x2 determinant by the textbook formula."""
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
+
+
+def total_correlation(s) -> float:
+    """-0.5 * ln det corr(s), the log-determinant taken by LU (numpy slogdet)."""
+    s = np.asarray(s, dtype=float)
+    d = np.sqrt(np.diag(s))
+    sign, log_det = np.linalg.slogdet(s / np.outer(d, d))
+    assert sign > 0
+    return -0.5 * log_det

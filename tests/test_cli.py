@@ -39,6 +39,17 @@ class TestKlCommand:
         assert code == 0
         assert json.loads(out)["results"]["kl_nats"] == 0.0
 
+        # A diagonal file also reports the bound and gap, both exactly +0.
+        d = tmp_path / "d.csv"
+        write_csv(d, [[0.3, 0, 0], [0, 7.0, 0], [0, 0, 1e-5]])
+        code, out, _ = run(capsys, "kl", "--x", str(d), "--y", str(d))
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results == {"kl_nats": 0.0, "bound_nats": 0.0, "gap_nats": 0.0}
+        for key in results:
+            assert f'"{key}": 0.0' in out
+        assert "-0.0" not in out
+
     def test_no_bound_without_diagonal_reference(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
         y = tmp_path / "y.csv"

@@ -8,7 +8,6 @@ from gausskl import (
     DimensionMismatch,
     NonPositiveVariance,
     build_gaussian,
-    cholesky,
     diagonal_lower_bound,
     gaussian_entropy,
     kl_diagonal,
@@ -20,9 +19,9 @@ from gausskl import (
     random_spd,
     validate_spd,
 )
-from gausskl.harness import derive_seed
+from gausskl.harness import CLOSED_FORM_TOL, derive_seed
 
-from oracles import det2, entropy_quad, kl_scalar_quad
+from oracles import det2, entropy_quad, kl_scalar_quad, total_correlation
 
 
 def spectrum(*variances):
@@ -215,25 +214,36 @@ class TestKlGapDiagonal:
             assert rep.kl_exact - rep.bound >= -1e-10
             assert rep.gap >= 0.0
 
-    def test_clamp_flags_tiny_negative_roundoff(self):
-        # seed chosen so the diagonal case rounds to a tiny negative raw gap
+    def test_diagonal_target_gap_is_exactly_zero(self):
+        # The subtraction route rounded this case to a tiny negative gap.
         lx = random_diag_spectrum(6, derive_seed(2, 0))
         d = random_diag_spectrum(6, derive_seed(2, 1))
         rep = kl_gap_diagonal(lx, validate_spd(np.diag(d.variances)))
-        assert rep.clamped
         assert rep.gap == 0.0
-        raw = rep.kl_exact - rep.bound
-        assert -1e-10 <= raw < 0.0
+        assert math.copysign(1.0, rep.gap) == 1.0
+        assert rep.kl_exact == rep.bound
+
+    def test_wide_variance_sweep_matches_total_correlation(self):
+        # lx spans [1e-8, 1e8], far past VARIANCE_RANGE: the divergence reaches
+        # ~1e8 nats, yet the gap keeps the closed-form tolerance.
+        for seed in range(2000):
+            dim = 1 + seed % 8
+            lx = random_diag_spectrum(dim, derive_seed(seed, 10), 1e-8, 1e8)
+            sy = random_spd(dim, derive_seed(seed, 11), 1e4)
+            rep = kl_gap_diagonal(lx, sy)
+            assert rep.gap >= 0.0
+            assert abs(rep.gap - total_correlation(sy.entries)) <= CLOSED_FORM_TOL
+            assert kl_gap_diagonal(lx, validate_spd(np.diag(np.diag(sy.entries)))).gap == 0.0
 
 
 class TestGaussianEntropy:
     def test_standard_normal_against_quadrature(self):
-        h = gaussian_entropy(cholesky(validate_spd([[1.0]])))
+        h = gaussian_entropy(validate_spd([[1.0]]))
         assert h == pytest.approx(1.4189385332046727, abs=1e-12)
         assert h == pytest.approx(entropy_quad(1.0), abs=1e-9)
 
     def test_additive_over_independent_coordinates(self):
-        h2 = gaussian_entropy(cholesky(validate_spd(np.eye(2))))
+        h2 = gaussian_entropy(validate_spd(np.eye(2)))
         assert h2 == pytest.approx(2 * 1.4189385332046727, abs=1e-12)
 
     def test_two_dimensional_monte_carlo(self):
@@ -242,9 +252,9 @@ class TestGaussianEntropy:
         draws = model.sample(200_000, seed=31)
         lp = model.log_density_batch(draws)
         se = lp.std(ddof=1) / math.sqrt(lp.size)
-        assert abs(-lp.mean() - gaussian_entropy(model.factor)) <= 4.0 * se
+        assert abs(-lp.mean() - gaussian_entropy(model.covariance)) <= 4.0 * se
 
     def test_log_variance_shift(self):
-        h = gaussian_entropy(cholesky(validate_spd([[math.e ** 2]])))
+        h = gaussian_entropy(validate_spd([[math.e ** 2]]))
         assert h == pytest.approx(1.4189385332046727 + 1.0, abs=1e-12)
         assert h == pytest.approx(entropy_quad(math.e ** 2), abs=1e-9)

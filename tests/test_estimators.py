@@ -21,6 +21,8 @@ from gausskl import (
 )
 from gausskl.harness import derive_seed
 
+from oracles import normal_log_pdf
+
 
 def std_normal(dim=1):
     return build_gaussian(validate_spd(np.eye(dim)))
@@ -38,9 +40,7 @@ class TestLogDensity:
     def test_degenerate_mixture_equals_gaussian(self):
         cov = validate_spd([[2.0, 0.4], [0.4, 1.0]])
         gaussian = build_gaussian(cov)
-        f = gaussian.factor
-        degenerate = MixtureModel(dim=2, weight=0.5, factor_one=f, factor_two=f,
-                                  covariance=cov)
+        degenerate = MixtureModel(weight=0.5, scale_one=1.0, scale_two=1.0, covariance=cov)
         rng = np.random.default_rng(3)
         for point in rng.standard_normal((20, 2)):
             assert log_density(degenerate, point) == pytest.approx(
@@ -62,8 +62,7 @@ class TestNormalization:
     ], ids=["gaussian", "mixture"])
     def test_scalar_density_integrates_to_one(self, build):
         model = build()
-        sigma = math.sqrt(float(model.covariance.entries[0, 0])) \
-            if hasattr(model, "covariance") else float(model.factor.lower[0, 0])
+        sigma = math.sqrt(float(model.covariance.entries[0, 0]))
         total, _ = quad(lambda u: math.exp(log_density(model, np.array([u]))),
                         -40 * sigma, 40 * sigma, points=[-4 * sigma, 0, 4 * sigma],
                         limit=200)
@@ -94,12 +93,17 @@ class TestSample:
 class TestMatchedMixture:
     def test_component_scales(self):
         m = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)
-        var1 = float(m.factor_one.lower[0, 0]) ** 2
-        var2 = float(m.factor_two.lower[0, 0]) ** 2
+        var1 = m.scale_one * float(m.covariance.entries[0, 0])
+        var2 = m.scale_two * float(m.covariance.entries[0, 0])
         assert var1 == pytest.approx(0.5, abs=1e-12)
         assert var2 == pytest.approx(1.5, abs=1e-12)
         # mixing identity: 0.5 * 0.5 + 0.5 * 1.5 = 1
         assert m.weight * var1 + (1 - m.weight) * var2 == pytest.approx(1.0, abs=1e-12)
+        # the density is that of the two scaled components
+        for u in (0.0, 0.7, -2.5, 6.0):
+            expected = math.log(0.5 * math.exp(normal_log_pdf(u, 0.5))
+                                + 0.5 * math.exp(normal_log_pdf(u, 1.5)))
+            assert log_density(m, np.array([u])) == pytest.approx(expected, abs=1e-12)
 
     def test_overall_covariance_identity(self):
         for seed in range(30):
@@ -108,8 +112,9 @@ class TestMatchedMixture:
             w = rng.uniform(0.1, 0.9)
             s = rng.uniform(0.05, 0.95)
             m = build_matched_mixture(target, w, s)
-            combined = (w * (m.factor_one.lower @ m.factor_one.lower.T)
-                        + (1 - w) * (m.factor_two.lower @ m.factor_two.lower.T))
+            lower = m.covariance.lower
+            combined = (w * m.scale_one * (lower @ lower.T)
+                        + (1 - w) * m.scale_two * (lower @ lower.T))
             assert np.max(np.abs(combined - target.entries)) <= 1e-10 * max(
                 1.0, np.max(np.abs(target.entries)))
             np.testing.assert_array_equal(m.covariance.entries, target.entries)

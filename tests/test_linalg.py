@@ -10,7 +10,7 @@ from gausskl import (
     NonPositiveVariance,
     NotPositiveDefinite,
     NotSquare,
-    cholesky,
+    kl_gaussian,
     random_spd,
     read_matrix_csv,
     trace_ratio,
@@ -66,23 +66,50 @@ class TestValidateSpd:
         a = validate_spd(np.eye(2))
         with pytest.raises(ValueError):
             a.entries[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            a.lower[0, 0] = 5.0
+
+    def test_input_array_is_not_frozen_or_aliased(self):
+        raw = np.eye(2)
+        a = validate_spd(raw)
+        raw[0, 0] = 5.0
+        assert a.entries[0, 0] == 1.0
+
+
+class TestFactoredOnce:
+    def test_one_factorization_per_certification_none_per_divergence(self, monkeypatch):
+        calls = []
+        original = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        sx = validate_spd(np.diag([1.0, 4.0, 2.0]))
+        assert len(calls) == 1
+        sy = random_spd(3, 5, 100.0)
+        assert len(calls) == 2
+        kl_gaussian(sx, sy)
+        kl_gaussian(sy, sx)
+        assert len(calls) == 2
 
 
 class TestCholesky:
     def test_diagonal_factor(self):
-        f = cholesky(validate_spd(np.diag([4.0, 9.0])))
+        f = validate_spd(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(f.lower, np.diag([2.0, 3.0]), rtol=0, atol=1e-15)
         # det = 4 * 9 = 36
         assert f.log_det == pytest.approx(3.58351893845611, abs=1e-12)
 
     def test_identity_factor(self):
-        f = cholesky(validate_spd(np.eye(5)))
+        f = validate_spd(np.eye(5))
         np.testing.assert_array_equal(f.lower, np.eye(5))
         assert f.log_det == 0.0
 
     def test_log_det_from_2x2_determinant(self):
         # det [[1,.5],[.5,1]] = 0.75 by the textbook formula
-        f = cholesky(validate_spd([[1.0, 0.5], [0.5, 1.0]]))
+        f = validate_spd([[1.0, 0.5], [0.5, 1.0]])
         assert f.log_det == pytest.approx(math.log(0.75), abs=1e-12)
         assert f.log_det == pytest.approx(-0.2876820724517809, abs=1e-12)
 
@@ -90,45 +117,45 @@ class TestCholesky:
     def test_reconstruction(self, dim):
         for seed in range(40):
             a = random_spd(dim, seed, 100.0)
-            f = cholesky(a)
-            rebuilt = f.lower @ f.lower.T
+            rebuilt = a.lower @ a.lower.T
             err = np.linalg.norm(rebuilt - a.entries) / np.linalg.norm(a.entries)
             assert err <= 1e-10
-            assert np.all(np.diag(f.lower) > 0.0)
+            assert np.all(np.diag(a.lower) > 0.0)
+            assert np.array_equal(a.lower, np.tril(a.lower))
 
     @pytest.mark.parametrize("c", [0.5, 2.0, 10.0])
     def test_log_det_scaling(self, c):
         for seed in range(20):
             a = random_spd(4, seed, 50.0)
             scaled = validate_spd(c * a.entries)
-            expected = cholesky(a).log_det + 4 * math.log(c)
-            assert cholesky(scaled).log_det == pytest.approx(expected, abs=1e-9)
+            expected = a.log_det + 4 * math.log(c)
+            assert scaled.log_det == pytest.approx(expected, abs=1e-9)
 
 
 class TestTraceRatio:
     def test_identity_pair(self):
         i3 = validate_spd(np.eye(3))
-        assert trace_ratio(i3, cholesky(i3)) == pytest.approx(3.0, abs=1e-12)
+        assert trace_ratio(i3, i3) == pytest.approx(3.0, abs=1e-12)
 
     def test_identity_reference(self):
         sy = validate_spd([[1.0, 0.5], [0.5, 1.0]])
-        fx = cholesky(validate_spd(np.eye(2)))
-        assert trace_ratio(sy, fx) == pytest.approx(2.0, abs=1e-12)
+        sx = validate_spd(np.eye(2))
+        assert trace_ratio(sy, sx) == pytest.approx(2.0, abs=1e-12)
 
     def test_diagonal_ratios(self):
         sy = validate_spd(np.diag([2.0, 8.0]))
-        fx = cholesky(validate_spd(np.diag([1.0, 4.0])))
-        assert trace_ratio(sy, fx) == pytest.approx(4.0, abs=1e-12)
+        sx = validate_spd(np.diag([1.0, 4.0]))
+        assert trace_ratio(sy, sx) == pytest.approx(4.0, abs=1e-12)
 
     def test_self_ratio_equals_dimension(self):
         for dim in range(1, 9):
             for seed in range(25):
                 a = random_spd(dim, seed, 1000.0)
-                assert trace_ratio(a, cholesky(a)) == pytest.approx(dim, abs=1e-9)
+                assert trace_ratio(a, a) == pytest.approx(dim, abs=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            trace_ratio(validate_spd(np.eye(2)), cholesky(validate_spd(np.eye(3))))
+            trace_ratio(validate_spd(np.eye(2)), validate_spd(np.eye(3)))
 
 
 class TestRandomSpd:

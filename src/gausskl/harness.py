@@ -1,12 +1,14 @@
 """Randomized property campaigns over the divergence inequalities.
 
-Each check draws many random instances, measures the slack of one inequality
-plus its equality case, and reports violations instead of raising.  A trial
-violates when its slack falls below -tolerance; equality cases are folded into
-the same rule by using ``-|deviation|`` as their slack.  Closed-form checks
-use an absolute tolerance of 1e-10 nats; Monte Carlo checks fold a
-4-standard-error band into the slack and use tolerance 0, which puts the
-two-sided failure probability per check around 0.006%.
+Each check is a per-trial function that draws one random instance and
+returns the slack of its inequality plus, where there is one, the slack of
+its equality case, ``-|deviation|``.  One driver runs it over the trials and
+reports violations instead of raising: a trial violates when any of its
+slacks falls below -tolerance, and the worst margin is the minimum over all
+slacks, equality cases included.  Closed-form checks use an absolute
+tolerance of 1e-10 nats; Monte Carlo checks fold a 4-standard-error band into
+the slack and use tolerance 0, which puts the two-sided failure probability
+per check around 0.006%.
 
 Per-trial randomness derives from the master seed through a fixed counter
 scheme (splitmix64), so campaigns are reproducible and trials are independent
@@ -18,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from .divergence import diagonal_lower_bound, kl_diagonal, kl_gaussian
-from .estimators import build_gaussian, build_matched_mixture, mc_kl
+from .estimators import MixtureModel, build_gaussian, build_matched_mixture, mc_kl
 from .linalg import DiagSpectrum, SpdMatrix, random_spd, validate_spd
 
 CLOSED_FORM_TOL = 1e-10
@@ -86,6 +88,40 @@ def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatri
     return validate_spd(scale * base.entries)
 
 
+def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str,
+              trial: Callable[[int], tuple[float, ...]]) -> PropertyReport:
+    """Run ``trial`` on every per-trial seed and fold its slacks into a report."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    violations = 0
+    worst = math.inf
+    for t in range(trials):
+        slacks = trial(derive_seed(master_seed, t))
+        # any(), not min(slacks) < -tol: a NaN first slack must not hide the rest.
+        if any(s < -tol for s in slacks):
+            violations += 1
+        worst = min(worst, *slacks)
+    digest = f"prop={prop} {settings} master_seed={master_seed} scheme=splitmix64"
+    return PropertyReport(prop, trials, violations, worst, digest)
+
+
+def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: int,
+                 trial: Callable[[int], tuple[float, ...]]) -> PropertyReport:
+    # The 4-standard-error band is folded into each slack, so the tolerance
+    # is 0.  A bad ``trials`` is left to _campaign, which reports it first.
+    if trials >= 1 and n_samples < 10_000:
+        raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
+    settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
+                f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")
+    return _campaign(prop, trials, master_seed, 0.0, settings, trial)
+
+
+def _matched_mixture(sy: SpdMatrix, t_seed: int) -> MixtureModel:
+    # Mixture weight and spread come from the trial's third derived stream.
+    rng = np.random.default_rng(derive_seed(t_seed, 2))
+    return build_matched_mixture(sy, w=rng.uniform(0.2, 0.8), spread=rng.uniform(0.1, 0.9))
+
+
 def check_prop3(trials: int, dim: int, master_seed: int,
                 condition_target: float) -> PropertyReport:
     """Gap of the diagonal bound for Gaussian pairs: nonnegative, zero when diagonal.
@@ -97,28 +133,21 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     :func:`kl_gap_diagonal` is nonnegative by construction, so it would test
     nothing here.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        t_seed = derive_seed(master_seed, t)
+    def trial(t_seed: int) -> tuple[float, float]:
         lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
         sy = random_spd(dim, derive_seed(t_seed, 1), condition_target)
         sx = lx.as_matrix()
 
         slack = kl_gaussian(sx, sy) - diagonal_lower_bound(lx, sy)
 
-        sy_diag = validate_spd(np.diag(np.diag(sy.entries)))
+        sy_diag = sy.diagonal().as_matrix()
         slack_eq = -abs(kl_gaussian(sx, sy_diag) - diagonal_lower_bound(lx, sy_diag))
+        return slack, slack_eq
 
-        if slack < -CLOSED_FORM_TOL or slack_eq < -CLOSED_FORM_TOL:
-            violations += 1
-        worst = min(worst, slack, slack_eq)
-    digest = (f"prop=p3 trials={trials} dim={dim} condition_target={condition_target:g} "
-              f"lx_range=[{VARIANCE_RANGE[0]:g},{VARIANCE_RANGE[1]:g}] "
-              f"tol={CLOSED_FORM_TOL:g} master_seed={master_seed} scheme=splitmix64")
-    return PropertyReport("p3", trials, violations, worst, digest)
+    settings = (f"trials={trials} dim={dim} condition_target={condition_target:g} "
+                f"lx_range=[{VARIANCE_RANGE[0]:g},{VARIANCE_RANGE[1]:g}] "
+                f"tol={CLOSED_FORM_TOL:g}")
+    return _campaign("p3", trials, master_seed, CLOSED_FORM_TOL, settings, trial)
 
 
 def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
@@ -136,15 +165,10 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
         raise ValueError(f"need at least two blocks, got {dims}")
     if any(d < 1 for d in dims):
         raise ValueError(f"block dims must be positive, got {dims}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     total = sum(dims)
     offsets = np.cumsum([0] + dims)
 
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        t_seed = derive_seed(master_seed, t)
+    def trial(t_seed: int) -> tuple[float, float]:
         blocks = [random_spd(d, derive_seed(t_seed, i), condition_target)
                   for i, d in enumerate(dims)]
         sx = validate_spd(block_diag(*[b.entries for b in blocks]))
@@ -157,14 +181,11 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
 
         sy_bd = validate_spd(block_diag(*[s.entries for s in sub]))
         slack_eq = -abs(kl_gaussian(sx, sy_bd) - marginal_sum)
+        return slack, slack_eq
 
-        if slack < -CLOSED_FORM_TOL or slack_eq < -CLOSED_FORM_TOL:
-            violations += 1
-        worst = min(worst, slack, slack_eq)
-    digest = (f"prop=p2 blocks={'x'.join(str(d) for d in dims)} trials={trials} "
-              f"condition_target={condition_target:g} tol={CLOSED_FORM_TOL:g} "
-              f"master_seed={master_seed} scheme=splitmix64")
-    return PropertyReport("p2", trials, violations, worst, digest)
+    settings = (f"blocks={'x'.join(str(d) for d in dims)} trials={trials} "
+                f"condition_target={condition_target:g} tol={CLOSED_FORM_TOL:g}")
+    return _campaign("p2", trials, master_seed, CLOSED_FORM_TOL, settings, trial)
 
 
 def check_prop1(trials: int, dim: int, master_seed: int, n_samples: int) -> PropertyReport:
@@ -177,29 +198,15 @@ def check_prop1(trials: int, dim: int, master_seed: int, n_samples: int) -> Prop
     folded into the slack, so the tolerance is 0.  Sampled evidence on the
     mixture witness family, not a proof over all distributions.
     """
-    _require_mc_args(trials, n_samples)
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        t_seed = derive_seed(master_seed, t)
+    def trial(t_seed: int) -> tuple[float]:
         sx = _random_scaled_spd(dim, derive_seed(t_seed, 0), condition_target=10.0)
         sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
-        rng = np.random.default_rng(derive_seed(t_seed, 2))
-        w = rng.uniform(0.2, 0.8)
-        spread = rng.uniform(0.1, 0.9)
-
-        y = build_matched_mixture(sy, w, spread)
-        x = build_gaussian(sx)
-        est = mc_kl(y, x, n_samples, derive_seed(t_seed, 3))
+        est = mc_kl(_matched_mixture(sy, t_seed), build_gaussian(sx), n_samples,
+                    derive_seed(t_seed, 3))
         slack = est.value - kl_gaussian(sx, sy) + MC_BAND_STDERRS * est.std_error
+        return (slack,)
 
-        if slack < 0.0:
-            violations += 1
-        worst = min(worst, slack)
-    digest = (f"prop=p1 trials={trials} dim={dim} n_samples={n_samples} "
-              f"family=matched-mixture w=[0.2,0.8] spread=[0.1,0.9] "
-              f"band={MC_BAND_STDERRS:g}se master_seed={master_seed} scheme=splitmix64")
-    return PropertyReport("p1", trials, violations, worst, digest)
+    return _mc_campaign("p1", trials, dim, master_seed, n_samples, trial)
 
 
 def check_c1(trials: int, dim: int, master_seed: int, n_samples: int) -> PropertyReport:
@@ -211,39 +218,17 @@ def check_c1(trials: int, dim: int, master_seed: int, n_samples: int) -> Propert
     band.  The equality case draws a Gaussian y with diagonal covariance and
     requires the estimate to match the bound inside the same band.
     """
-    _require_mc_args(trials, n_samples)
-    violations = 0
-    worst = math.inf
-    for t in range(trials):
-        t_seed = derive_seed(master_seed, t)
+    def trial(t_seed: int) -> tuple[float, float]:
         lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
         sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
-        rng = np.random.default_rng(derive_seed(t_seed, 2))
-        w = rng.uniform(0.2, 0.8)
-        spread = rng.uniform(0.1, 0.9)
-
         x = build_gaussian(lx.as_matrix())
-        y = build_matched_mixture(sy, w, spread)
-        est = mc_kl(y, x, n_samples, derive_seed(t_seed, 3))
+        est = mc_kl(_matched_mixture(sy, t_seed), x, n_samples, derive_seed(t_seed, 3))
         slack = est.value - diagonal_lower_bound(lx, sy) + MC_BAND_STDERRS * est.std_error
 
         ly = random_diag_spectrum(dim, derive_seed(t_seed, 4))
-        y_eq = build_gaussian(ly.as_matrix())
-        est_eq = mc_kl(y_eq, x, n_samples, derive_seed(t_seed, 5))
+        est_eq = mc_kl(build_gaussian(ly.as_matrix()), x, n_samples, derive_seed(t_seed, 5))
         slack_eq = (MC_BAND_STDERRS * est_eq.std_error
                     - abs(est_eq.value - kl_diagonal(lx, ly)))
+        return slack, slack_eq
 
-        if slack < 0.0 or slack_eq < 0.0:
-            violations += 1
-        worst = min(worst, slack, slack_eq)
-    digest = (f"prop=c1 trials={trials} dim={dim} n_samples={n_samples} "
-              f"family=matched-mixture w=[0.2,0.8] spread=[0.1,0.9] "
-              f"band={MC_BAND_STDERRS:g}se master_seed={master_seed} scheme=splitmix64")
-    return PropertyReport("c1", trials, violations, worst, digest)
-
-
-def _require_mc_args(trials: int, n_samples: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n_samples < 10_000:
-        raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
+    return _mc_campaign("c1", trials, dim, master_seed, n_samples, trial)

@@ -42,10 +42,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
 
-    Construct via :func:`validate_spd`.  ``lower`` is the lower-triangular
-    Cholesky factor (``lower @ lower.T`` reconstructs ``entries``) and
-    ``log_det`` the log-determinant, ``2 * sum(log(diag(lower)))``.  Both
-    arrays are read-only.
+    Construct via :func:`validate_spd` or :meth:`DiagSpectrum.as_matrix`.
+    ``lower`` is the lower-triangular Cholesky factor (``lower @ lower.T``
+    reconstructs ``entries``) and ``log_det`` the log-determinant,
+    ``2 * sum(log(diag(lower)))``.  Both arrays are read-only.
     """
 
     dim: int
@@ -77,8 +77,19 @@ class DiagSpectrum:
         return cls(dim=v.size, variances=_readonly(v))
 
     def as_matrix(self) -> SpdMatrix:
-        """Embed the spectrum as a dense diagonal SpdMatrix."""
-        return validate_spd(np.diag(self.variances))
+        """Embed the spectrum as a diagonal SpdMatrix, certified in O(m) without factoring.
+
+        The factor is the diagonal of square roots; every field equals what
+        :func:`validate_spd` returns for ``np.diag(variances)``, bit for bit.
+        """
+        if self.dim > MAX_DIM:
+            raise ValueError(f"dimension {self.dim} exceeds supported maximum {MAX_DIM}")
+        root = np.sqrt(self.variances)
+        entries, lower = np.diag(self.variances), np.diag(root)
+        entries.flags.writeable = False
+        lower.flags.writeable = False
+        log_det = 2.0 * float(np.sum(np.log(root)))
+        return SpdMatrix(dim=self.dim, entries=entries, lower=lower, log_det=log_det)
 
 
 def validate_spd(raw) -> SpdMatrix:

@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from gausskl import McEstimate, harness
 from gausskl import (
     check_c1,
     check_prop1,
@@ -109,6 +111,64 @@ class TestCheckC1:
         a = check_c1(5, 1, master_seed=2, n_samples=10_000)
         b = check_c1(5, 1, master_seed=2, n_samples=10_000)
         assert a == b
+
+
+class TestViolationCounting:
+    def test_shifted_bound_violates_every_p3_trial(self, monkeypatch):
+        # Raising the bound by 1e-9 pushes every equality-case slack to about
+        # -1e-9, ten times past the tolerance.
+        real = harness.diagonal_lower_bound
+        monkeypatch.setattr(harness, "diagonal_lower_bound",
+                            lambda lx, sy: real(lx, sy) + 1e-9)
+        report = check_prop3(40, 3, master_seed=2, condition_target=100.0)
+        assert report.violations == report.trials == 40
+        assert report.worst_margin == pytest.approx(-1e-9, abs=1e-11)
+
+    def test_negative_estimate_violates_every_c1_trial(self, monkeypatch):
+        # An estimate of -1 nat with no band: both slacks are -1 minus a
+        # nonnegative divergence or bound, so every trial violates.
+        monkeypatch.setattr(harness, "mc_kl", lambda py, px, n, seed: McEstimate(
+            value=-1.0, std_error=0.0, n_samples=n, seed=seed))
+        report = check_c1(6, 2, master_seed=9, n_samples=10_000)
+        assert report.violations == report.trials == 6
+        assert report.worst_margin <= -1.0
+
+    def test_nan_slack_does_not_hide_a_violation(self):
+        report = harness._campaign("p3", 3, 0, 1e-10, "test", lambda t_seed: (math.nan, -1.0))
+        assert report.violations == 3
+        assert report.worst_margin == -1.0
+
+
+class TestDrawnInstances:
+    # Reports of the parent commit of the single campaign driver, when each
+    # proposition had its own trial loop.  Counts and digests are exact.  The
+    # p1/c1 margins are Monte Carlo slacks of the drawn instances, pinned to
+    # rel 1e-9 (not by hex: BLAS rounding may vary by CPU).  The p3/p2 margins
+    # are equality-case roundoff of one ulp, so they also get an absolute
+    # floor of 1e-12.
+    CASES = {
+        "p3": (lambda: check_prop3(20, 3, 7, 100.0), 20, -1.1368683772161603e-13,
+               "prop=p3 trials=20 dim=3 condition_target=100 lx_range=[0.001,1000] "
+               "tol=1e-10 master_seed=7 scheme=splitmix64"),
+        "p2": (lambda: check_prop2([1, 2], 10, 4), 10, -3.552713678800501e-15,
+               "prop=p2 blocks=1x2 trials=10 condition_target=100 tol=1e-10 "
+               "master_seed=4 scheme=splitmix64"),
+        "p1": (lambda: check_prop1(2, 2, 5, 10_000), 2, 0.2145443676142134,
+               "prop=p1 trials=2 dim=2 n_samples=10000 family=matched-mixture "
+               "w=[0.2,0.8] spread=[0.1,0.9] band=4se master_seed=5 scheme=splitmix64"),
+        "c1": (lambda: check_c1(2, 2, 5, 10_000), 2, 0.02563379280388637,
+               "prop=c1 trials=2 dim=2 n_samples=10000 family=matched-mixture "
+               "w=[0.2,0.8] spread=[0.1,0.9] band=4se master_seed=5 scheme=splitmix64"),
+    }
+
+    @pytest.mark.parametrize("prop", sorted(CASES))
+    def test_report_matches_pinned_values(self, prop):
+        campaign, trials, worst, digest = self.CASES[prop]
+        report = campaign()
+        assert (report.proposition, report.trials, report.violations) == (prop, trials, 0)
+        assert report.config_digest == digest
+        floor = 1e-12 if prop in ("p2", "p3") else 0.0
+        assert report.worst_margin == pytest.approx(worst, rel=1e-9, abs=floor)
 
 
 class TestComposition:

@@ -17,7 +17,7 @@ from gausskl import (
     validate_spd,
     write_matrix_csv,
 )
-from gausskl.linalg import DiagSpectrum
+from gausskl.linalg import MAX_DIM, DiagSpectrum
 
 
 class TestValidateSpd:
@@ -92,6 +92,9 @@ class TestFactoredOnce:
         assert len(calls) == 2
         kl_gaussian(sx, sy)
         kl_gaussian(sy, sx)
+        assert len(calls) == 2
+        DiagSpectrum.from_variances([1.0, 4.0, 2.0]).as_matrix()
+        sy.diagonal().as_matrix()
         assert len(calls) == 2
 
 
@@ -209,6 +212,25 @@ class TestDiagSpectrum:
         m = lx.as_matrix()
         np.testing.assert_array_equal(m.entries, np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(m.diagonal().variances, lx.variances)
+
+    def test_as_matrix_equals_validate_spd_bit_for_bit(self):
+        # Variances over 300 decades; tobytes() compares every bit, zero signs
+        # included, and log_det is compared by its hex form.
+        rng = np.random.default_rng(17)
+        for k in range(300):
+            dim = 1 + k % 8 if k % 20 else int(rng.integers(9, MAX_DIM + 1))
+            v = np.exp(rng.uniform(math.log(1e-150), math.log(1e150), size=dim))
+            fast, dense = DiagSpectrum.from_variances(v).as_matrix(), validate_spd(np.diag(v))
+            assert fast.dim == dense.dim
+            assert fast.entries.tobytes() == dense.entries.tobytes()
+            assert fast.lower.tobytes() == dense.lower.tobytes()
+            assert fast.log_det.hex() == dense.log_det.hex()
+            assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
+
+    def test_as_matrix_rejects_dimension_above_max(self):
+        lx = DiagSpectrum.from_variances(np.ones(MAX_DIM + 1))
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            lx.as_matrix()
 
 
 class TestCsvRoundTrip:

@@ -3,7 +3,6 @@ Monte Carlo oracles, and randomized verification campaigns."""
 
 from .divergence import (
     GapReport,
-    Nats,
     diagonal_lower_bound,
     gaussian_entropy,
     kl_diagonal,
@@ -23,15 +22,12 @@ from .errors import (
     SpreadTooLarge,
 )
 from .estimators import (
-    DensityModel,
     GaussianModel,
     McEstimate,
     MixtureModel,
     build_gaussian,
     build_matched_mixture,
-    log_density,
     mc_kl,
-    sample,
 )
 from .harness import (
     PropertyReport,
@@ -47,7 +43,6 @@ from .linalg import (
     SpdMatrix,
     random_spd,
     read_matrix_csv,
-    trace_ratio,
     validate_spd,
     write_matrix_csv,
 )
@@ -57,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetryExceedsTolerance",
     "BuildError",
-    "DensityModel",
     "DiagSpectrum",
     "DimensionMismatch",
     "GapReport",
@@ -66,7 +60,6 @@ __all__ = [
     "MatrixParseError",
     "McEstimate",
     "MixtureModel",
-    "Nats",
     "NonPositiveVariance",
     "NotPositiveDefinite",
     "NotSquare",
@@ -86,13 +79,10 @@ __all__ = [
     "kl_gap_diagonal",
     "kl_gaussian",
     "kl_scalar",
-    "log_density",
     "mc_kl",
     "random_diag_spectrum",
     "random_spd",
     "read_matrix_csv",
-    "sample",
-    "trace_ratio",
     "validate_spd",
     "write_matrix_csv",
 ]

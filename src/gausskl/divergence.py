@@ -7,10 +7,11 @@ The central quantity is the Gaussian-vs-Gaussian divergence
 
     KL(y || x) = 0.5 * [ tr(Sy Sx^-1) - ln det(Sy Sx^-1) - m ]
 
-together with its scalar reduction and the diagonal comparison bound: when the
-reference covariance Sx is diagonal, the divergence is bounded below by the
-sum of per-coordinate scalar terms built from the diagonal of Sy, with
-equality when Sy is itself diagonal.
+(summed as terms that are each >= 0 in floating point, so it never cancels
+below zero) together with its scalar reduction and the diagonal comparison
+bound: when the reference covariance Sx is diagonal, the divergence is
+bounded below by the sum of per-coordinate scalar terms built from the
+diagonal of Sy, with equality when Sy is itself diagonal.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonPositiveVariance
-from .linalg import DiagSpectrum, SpdMatrix, trace_ratio
+from .linalg import DiagSpectrum, SpdMatrix, solve_triangular
 
 # Divergences are measured in nats (natural log) throughout; callers convert.
 Nats = float
@@ -45,14 +46,16 @@ class GapReport:
 def kl_scalar(var_x: float, var_y: float) -> Nats:
     """Divergence between zero-mean scalar Gaussians with the given variances.
 
-    Returns 0.5 * [r - ln(r) - 1] with r = var_y / var_x.
+    Returns 0.5 * [u - ln(1 + u)] with u = var_y / var_x - 1, taken as
+    ``(var_y - var_x) / var_x`` so it does not cancel near equal variances.
     """
     if not (var_x > 0.0 and math.isfinite(var_x)):
         raise NonPositiveVariance(f"var_x must be finite and > 0, got {var_x!r}")
     if not (var_y > 0.0 and math.isfinite(var_y)):
         raise NonPositiveVariance(f"var_y must be finite and > 0, got {var_y!r}")
-    r = var_y / var_x
-    return 0.5 * (r - math.log(r) - 1.0)
+    u = (var_y - var_x) / var_x
+    # log1p near equal variances; away from them u or var_y / var_x may over/underflow.
+    return 0.5 * (u - (math.log1p(u) if abs(u) < 0.5 else math.log(var_y) - math.log(var_x)))
 
 
 def kl_diagonal(lx: DiagSpectrum, ly: DiagSpectrum) -> Nats:
@@ -72,14 +75,30 @@ def kl_diagonal(lx: DiagSpectrum, ly: DiagSpectrum) -> Nats:
 def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     """Divergence between zero-mean Gaussians with covariances sx and sy.
 
-    ln det(Sy Sx^-1) is computed as the difference of the two stored Cholesky
-    log-determinants; the (nonsymmetric) product matrix is never formed.
+    With the stored factors Lx, Ly and M = Lx^-1 Ly (lower triangular),
+    tr(Sy Sx^-1) = ||M||_F^2 and ln det(Sy Sx^-1) = sum ln M_ii^2, so
+
+        KL = 0.5 * [ sum_{i>j} M_ij^2 + sum_i (u_i - ln(1 + u_i)) ],
+
+    u_i = M_ii^2 - 1 = ((dy_i - dx_i) / dx_i) (dy_i / dx_i + 1) for the
+    factor diagonals dx, dy.  Every term is >= 0 in floating point.  The strict
+    lower part of M comes from one unit-diagonal solve of the
+    column-normalized factors, which never divides: sx == sy gives +0.0.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")
-    tr = trace_ratio(sy, sx)
-    log_det_ratio = sy.log_det - sx.log_det
-    return 0.5 * (tr - log_det_ratio - sx.dim)
+    dx, dy = sx.lower.diagonal(), sy.lower.diagonal()
+    n = solve_triangular(sx.lower / dx, sy.lower / dy, lower=True,
+                         unit_diagonal=True, check_finite=False)
+    np.fill_diagonal(n, 0.0)
+    n *= dy / dx[:, None]  # the strict lower part of M
+    r = dy / dx
+    u = (dy - dx) / dx * (r + 1.0)
+    # ln M_ii^2: log1p near M_ii = 1, 2 ln(dy / dx) away from it, where u
+    # may round to -1 or overflow.
+    ln_m2 = np.log1p(u, out=2.0 * np.log(r), where=np.abs(u) < 0.5)
+    off = n.ravel("K")
+    return 0.5 * (float(off @ off) + float((u - ln_m2).sum()))
 
 
 def diagonal_lower_bound(lx: DiagSpectrum, sy: SpdMatrix) -> Nats:

@@ -26,11 +26,10 @@ from typing import Union
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_triangular
 
 from .divergence import LN_2PI, Nats
 from .errors import BuildError, DimensionMismatch, SpreadTooLarge
-from .linalg import SpdMatrix
+from .linalg import SpdMatrix, solve_triangular
 
 # Build-time normalization self-check (scalar models only): quadrature of the
 # density over [-40*sigma, 40*sigma] must integrate to 1 within this.
@@ -128,7 +127,7 @@ def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
 
 def _check_scalar_normalization(model: DensityModel, sigma: float) -> None:
     def density(u: float) -> float:
-        return math.exp(log_density(model, np.array([u])))
+        return math.exp(model.log_density_batch(np.array([[u]]))[0])
 
     total, _ = quad(density, -40.0 * sigma, 40.0 * sigma,
                     points=[-4.0 * sigma, 0.0, 4.0 * sigma], limit=200)
@@ -176,28 +175,13 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> Mixture
     return model
 
 
-def sample(model: DensityModel, n: int, seed: int) -> np.ndarray:
-    """n independent zero-mean draws from the model, deterministic in seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return model.sample(n, seed)
-
-
-def log_density(model: DensityModel, point: np.ndarray) -> float:
-    """Exact log-density of the model at a single point."""
-    p = np.asarray(point, dtype=float)
-    if p.ndim != 1 or p.size != model.dim:
-        raise DimensionMismatch(f"point shape {p.shape} does not match dim {model.dim}")
-    return float(model.log_density_batch(p[None, :])[0])
-
-
 def mc_kl(py: DensityModel, px: DensityModel, n: int, seed: int) -> McEstimate:
     """Monte Carlo divergence estimate: mean of log p_y - log p_x under p_y."""
     if py.dim != px.dim:
         raise DimensionMismatch(f"model dims differ: {py.dim} != {px.dim}")
     if n < 100:
         raise ValueError(f"n must be >= 100 for a usable standard error, got {n}")
-    draws = sample(py, n, seed)
+    draws = py.sample(n, seed)
     log_ratio = py.log_density_batch(draws) - px.log_density_batch(draws)
     value = float(np.mean(log_ratio))
     std_error = float(np.std(log_ratio, ddof=1) / math.sqrt(n))

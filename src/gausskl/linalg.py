@@ -4,7 +4,8 @@ Covariance matrices enter as raw arrays and get certified by
 :func:`validate_spd`, which keeps the Cholesky factor it computes: every
 consumer reads that one factor.  Explicit matrix inversion is never used;
 every application of an inverse goes through triangular solves against the
-factor, which is the numerically robust route for ill-conditioned input.
+factor (scipy's ``solve_triangular``, imported here for the whole package),
+which is the numerically robust route for ill-conditioned input.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular  # noqa: F401  (re-exported to divergence, estimators)
 
 from .errors import (
     AsymmetryExceedsTolerance,
-    DimensionMismatch,
     MatrixParseError,
     NonPositiveVariance,
     NotPositiveDefinite,
@@ -136,19 +136,6 @@ def validate_spd(raw) -> SpdMatrix:
     lower.flags.writeable = False
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return SpdMatrix(dim=dim, entries=sym, lower=lower, log_det=log_det)
-
-
-def trace_ratio(sy: SpdMatrix, sx: SpdMatrix) -> float:
-    """tr(sy @ inv(sx)) via triangular solves against sx's stored factor.
-
-    With sx = L L^T, tr(sy sx^-1) = tr(L^-1 sy L^-T); both inverse
-    applications are forward substitutions against L.
-    """
-    if sy.dim != sx.dim:
-        raise DimensionMismatch(f"matrix dims differ: {sy.dim} != {sx.dim}")
-    w = solve_triangular(sx.lower, sy.entries, lower=True)
-    v = solve_triangular(sx.lower, w.T, lower=True)
-    return float(np.trace(v))
 
 
 def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:

@@ -54,3 +54,9 @@ def total_correlation(s) -> float:
     sign, log_det = np.linalg.slogdet(s / np.outer(d, d))
     assert sign > 0
     return -0.5 * log_det
+
+
+def excess_series(u: float) -> float:
+    """u - ln(1 + u) by its alternating Taylor series, for |u| <= 2**-10."""
+    assert abs(u) <= 2.0 ** -10
+    return math.fsum((-u) ** n / n for n in range(2, 40))

@@ -149,6 +149,15 @@ class TestGenCommand:
         assert code == 2
         assert "Error" in err or "error" in err
 
+    @pytest.mark.parametrize("flags", [(), ("--diagonal",)], ids=["dense", "diagonal"])
+    def test_oversize_dimension_rejected_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "big.csv"
+        code, _, err = run(capsys, "gen", "--dim", "513", "--seed", "1", *flags,
+                           "--out", str(out))
+        assert code == 2
+        assert "ValueError" in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_prop_report(self, capsys):

@@ -21,7 +21,7 @@ from gausskl import (
 )
 from gausskl.harness import CLOSED_FORM_TOL, derive_seed
 
-from oracles import det2, entropy_quad, kl_scalar_quad, total_correlation
+from oracles import det2, entropy_quad, excess_series, kl_scalar_quad, total_correlation
 
 
 def spectrum(*variances):
@@ -58,7 +58,21 @@ class TestKlScalar:
         rng = np.random.default_rng(6)
         for _ in range(2000):
             a, b = np.exp(rng.uniform(-7, 7, size=2))
-            assert kl_scalar(a, b) >= -1e-12
+            assert kl_scalar(a, b) >= 0.0
+
+    def test_near_equal_variances_against_series(self):
+        # var_y = 1 + 2**-k: the r - ln(r) - 1 form returns 0.0 at k = 30
+        for k in range(10, 31):
+            expected = 0.5 * excess_series(2.0 ** -k)
+            assert kl_scalar(1.0, 1.0 + 2.0 ** -k) == pytest.approx(expected, rel=1e-6, abs=0)
+
+    def test_extreme_variance_ratios(self):
+        # var_y / var_x - 1 rounds to -1, and at 1e-400 the ratio underflows
+        for r in (1e-17, 1e-40, 1e-300):
+            expected = 0.5 * (r - math.log(r) - 1.0)
+            assert kl_scalar(1.0, r) == pytest.approx(expected, rel=1e-15)
+        assert kl_scalar(1e200, 1e-200) == pytest.approx(200 * math.log(10) - 0.5, rel=1e-13)
+        assert kl_scalar(1e-200, 1e200) == math.inf
 
 
 class TestKlDiagonal:
@@ -94,9 +108,13 @@ class TestKlDiagonal:
 
 class TestKlGaussian:
     def test_identical_near_zero(self):
-        for dim in range(1, 9):
+        # exactly +0.0: the unit-diagonal solve gives M = I bit for bit
+        for dim in (*range(1, 9), 64, 512):
             a = random_spd(dim, dim * 11, 100.0)
-            assert abs(kl_gaussian(a, a)) <= 1e-12
+            for copy in (a, validate_spd(2.0 ** 300 * a.entries),
+                         validate_spd(2.0 ** -300 * a.entries)):
+                kl = kl_gaussian(copy, copy)
+                assert kl == 0.0 and math.copysign(1.0, kl) == 1.0
 
     def test_worked_example_against_determinant_arithmetic(self):
         sx = validate_spd(np.eye(2))
@@ -126,9 +144,39 @@ class TestKlGaussian:
             for dim in range(1, 9):
                 sx = random_spd(dim, derive_seed(seed, 2 * dim), 100.0)
                 sy = random_spd(dim, derive_seed(seed, 2 * dim + 1), 100.0)
-                assert kl_gaussian(sx, sy) >= -1e-12
+                assert kl_gaussian(sx, sy) >= 0.0
                 count += 1
         assert count == 10_000
+
+    def test_scaled_copy_sweep(self):
+        # Sy = (1 + 2**-k) Sx exactly: Sx has 26-bit entries, so the product
+        # fits in 53 bits for k <= 27, and KL = 0.5 * m * excess(2**-k).
+        negatives, worst = 0, 0.0
+        for dim in (*range(1, 9), 64):
+            raw = random_spd(dim, derive_seed(dim, 40), 1e4).entries
+            mant, expo = np.frexp(raw)
+            base = np.ldexp(np.round(mant * 2.0 ** 26) / 2.0 ** 26, expo)
+            for j in (-490, -200, -2, 0, 2, 200, 490):
+                sx_raw = np.ldexp(base, j)
+                sx = validate_spd(sx_raw)
+                for k in range(10, 28):
+                    kl = kl_gaussian(sx, validate_spd((1.0 + 2.0 ** -k) * sx_raw))
+                    exact = 0.5 * dim * excess_series(2.0 ** -k)
+                    negatives += kl < 0.0
+                    worst = max(worst, abs(kl - exact) / exact)
+        assert negatives == 0
+        assert worst <= 1e-3
+
+    def test_extreme_variance_ratios(self):
+        # M_ii^2 - 1 rounds to -1 (KL stays finite) or overflows (KL is +inf)
+        sx, sy = validate_spd(np.eye(3)), validate_spd(1e-40 * np.eye(3))
+        assert kl_gaussian(sx, sy) == pytest.approx(
+            1.5 * (1e-40 - math.log(1e-40) - 1.0), rel=1e-15)
+        assert kl_gaussian(sy, sx) == pytest.approx(
+            1.5 * (1e40 - math.log(1e40) - 1.0), rel=1e-15)
+        with np.errstate(over="ignore"):
+            huge = kl_gaussian(validate_spd(1e-300 * np.eye(2)), validate_spd(1e300 * np.eye(2)))
+        assert huge == math.inf
 
     def test_scalar_path_agreement(self):
         rng = np.random.default_rng(17)

@@ -12,11 +12,9 @@ from gausskl import (
     build_gaussian,
     build_matched_mixture,
     kl_gaussian,
-    log_density,
     mc_kl,
     random_diag_spectrum,
     random_spd,
-    sample,
     validate_spd,
 )
 from gausskl.harness import derive_seed
@@ -30,29 +28,24 @@ def std_normal(dim=1):
 
 class TestLogDensity:
     def test_standard_normal_at_mode(self):
-        assert log_density(std_normal(), np.array([0.0])) == pytest.approx(
+        assert std_normal().log_density_batch(np.array([[0.0]]))[0] == pytest.approx(
             -0.9189385332046727, abs=1e-12)
 
     def test_standard_normal_at_one(self):
-        assert log_density(std_normal(), np.array([1.0])) == pytest.approx(
+        assert std_normal().log_density_batch(np.array([[1.0]]))[0] == pytest.approx(
             -1.4189385332046727, abs=1e-12)
 
     def test_degenerate_mixture_equals_gaussian(self):
         cov = validate_spd([[2.0, 0.4], [0.4, 1.0]])
         gaussian = build_gaussian(cov)
         degenerate = MixtureModel(weight=0.5, scale_one=1.0, scale_two=1.0, covariance=cov)
-        rng = np.random.default_rng(3)
-        for point in rng.standard_normal((20, 2)):
-            assert log_density(degenerate, point) == pytest.approx(
-                log_density(gaussian, point), abs=1e-12)
+        points = np.random.default_rng(3).standard_normal((20, 2))
+        np.testing.assert_allclose(degenerate.log_density_batch(points),
+                                   gaussian.log_density_batch(points), rtol=0, atol=1e-12)
 
     def test_mixture_far_tail_is_finite(self):
         m = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)
-        assert math.isfinite(log_density(m, np.array([60.0])))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            log_density(std_normal(2), np.array([1.0, 2.0, 3.0]))
+        assert math.isfinite(m.log_density_batch(np.array([[60.0]]))[0])
 
 
 class TestNormalization:
@@ -63,7 +56,7 @@ class TestNormalization:
     def test_scalar_density_integrates_to_one(self, build):
         model = build()
         sigma = math.sqrt(float(model.covariance.entries[0, 0]))
-        total, _ = quad(lambda u: math.exp(log_density(model, np.array([u]))),
+        total, _ = quad(lambda u: math.exp(model.log_density_batch(np.array([[u]]))[0]),
                         -40 * sigma, 40 * sigma, points=[-4 * sigma, 0, 4 * sigma],
                         limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -72,22 +65,18 @@ class TestNormalization:
 class TestSample:
     def test_deterministic(self):
         g = std_normal(2)
-        np.testing.assert_array_equal(sample(g, 1000, 7), sample(g, 1000, 7))
+        np.testing.assert_array_equal(g.sample(1000, 7), g.sample(1000, 7))
         m = build_matched_mixture(validate_spd(np.eye(2)), 0.4, 0.6)
-        np.testing.assert_array_equal(sample(m, 1000, 7), sample(m, 1000, 7))
+        np.testing.assert_array_equal(m.sample(1000, 7), m.sample(1000, 7))
 
     def test_gaussian_sample_covariance(self):
-        draws = sample(std_normal(2), 100_000, seed=11)
+        draws = std_normal(2).sample(100_000, seed=11)
         cov = draws.T @ draws / draws.shape[0]
         assert np.max(np.abs(cov - np.eye(2))) < 0.02
 
     def test_seed_changes_draws(self):
         g = std_normal(2)
-        assert not np.array_equal(sample(g, 100, 1), sample(g, 100, 2))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            sample(std_normal(), 0, 1)
+        assert not np.array_equal(g.sample(100, 1), g.sample(100, 2))
 
 
 class TestMatchedMixture:
@@ -103,7 +92,7 @@ class TestMatchedMixture:
         for u in (0.0, 0.7, -2.5, 6.0):
             expected = math.log(0.5 * math.exp(normal_log_pdf(u, 0.5))
                                 + 0.5 * math.exp(normal_log_pdf(u, 1.5)))
-            assert log_density(m, np.array([u])) == pytest.approx(expected, abs=1e-12)
+            assert m.log_density_batch(np.array([[u]]))[0] == pytest.approx(expected, abs=1e-12)
 
     def test_overall_covariance_identity(self):
         for seed in range(30):
@@ -124,7 +113,7 @@ class TestMatchedMixture:
         # the 4-standard-error band shrinks at the 1/sqrt(n) rate
         target = validate_spd([[1.0, 0.3], [0.3, 2.0]])
         m = build_matched_mixture(target, 0.35, 0.7)
-        draws = sample(m, n, seed=5)
+        draws = m.sample(n, seed=5)
         prods = draws[:, :, None] * draws[:, None, :]
         mean = prods.mean(axis=0)
         se = prods.std(axis=0, ddof=1) / math.sqrt(n)
@@ -184,7 +173,7 @@ class TestMcKl:
         px = std_normal(1)
         n, seed = 5000, 17
         est = mc_kl(py, px, n, seed)
-        draws = sample(py, n, seed)
+        draws = py.sample(n, seed)
         log_ratio = py.log_density_batch(draws) - px.log_density_batch(draws)
         assert est.value == float(np.mean(log_ratio))
         assert est.std_error == float(np.std(log_ratio, ddof=1) / math.sqrt(n))

@@ -5,7 +5,6 @@ import pytest
 
 from gausskl import (
     AsymmetryExceedsTolerance,
-    DimensionMismatch,
     MatrixParseError,
     NonPositiveVariance,
     NotPositiveDefinite,
@@ -13,10 +12,10 @@ from gausskl import (
     kl_gaussian,
     random_spd,
     read_matrix_csv,
-    trace_ratio,
     validate_spd,
     write_matrix_csv,
 )
+from gausskl import divergence
 from gausskl.linalg import MAX_DIM, DiagSpectrum
 
 
@@ -97,6 +96,16 @@ class TestFactoredOnce:
         sy.diagonal().as_matrix()
         assert len(calls) == 2
 
+    def test_one_triangular_solve_per_divergence(self, monkeypatch):
+        sx, sy = random_spd(4, 8, 100.0), random_spd(4, 9, 100.0)
+        solves, chols = [], []
+        solve, chol = divergence.solve_triangular, np.linalg.cholesky
+        monkeypatch.setattr(divergence, "solve_triangular",
+                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
+        kl_gaussian(sx, sy)
+        assert (len(solves), len(chols)) == (1, 0)
+
 
 class TestCholesky:
     def test_diagonal_factor(self):
@@ -133,32 +142,6 @@ class TestCholesky:
             scaled = validate_spd(c * a.entries)
             expected = a.log_det + 4 * math.log(c)
             assert scaled.log_det == pytest.approx(expected, abs=1e-9)
-
-
-class TestTraceRatio:
-    def test_identity_pair(self):
-        i3 = validate_spd(np.eye(3))
-        assert trace_ratio(i3, i3) == pytest.approx(3.0, abs=1e-12)
-
-    def test_identity_reference(self):
-        sy = validate_spd([[1.0, 0.5], [0.5, 1.0]])
-        sx = validate_spd(np.eye(2))
-        assert trace_ratio(sy, sx) == pytest.approx(2.0, abs=1e-12)
-
-    def test_diagonal_ratios(self):
-        sy = validate_spd(np.diag([2.0, 8.0]))
-        sx = validate_spd(np.diag([1.0, 4.0]))
-        assert trace_ratio(sy, sx) == pytest.approx(4.0, abs=1e-12)
-
-    def test_self_ratio_equals_dimension(self):
-        for dim in range(1, 9):
-            for seed in range(25):
-                a = random_spd(dim, seed, 1000.0)
-                assert trace_ratio(a, a) == pytest.approx(dim, abs=1e-9)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            trace_ratio(validate_spd(np.eye(2)), validate_spd(np.eye(3)))
 
 
 class TestRandomSpd:

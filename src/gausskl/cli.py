@@ -109,34 +109,28 @@ def _cmd_kl(args) -> int:
     return 0
 
 
-def _parse_blocks(raw: str) -> list:
-    try:
-        dims = [int(part) for part in raw.split(",")]
-    except ValueError as exc:
-        raise ValueError(f"--blocks must be comma-separated integers: {exc}") from exc
-    return dims
-
-
-def _default_blocks(dim: int) -> list:
-    if dim < 2:
+def _p2_blocks(args) -> list:
+    if args.blocks:
+        try:
+            return [int(part) for part in args.blocks.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"--blocks must be comma-separated integers: {exc}") from exc
+    if args.dim < 2:
         raise ValueError("p2 needs a total dimension of at least 2")
-    return [dim // 2, dim - dim // 2]
-
-
-def _run_campaign(prop: str, args):
-    if prop == "p1":
-        return check_prop1(args.trials, args.dim, args.seed, args.samples)
-    if prop == "p2":
-        blocks = _parse_blocks(args.blocks) if args.blocks else _default_blocks(args.dim)
-        return check_prop2(blocks, args.trials, args.seed, args.cond)
-    if prop == "p3":
-        return check_prop3(args.trials, args.dim, args.seed, args.cond)
-    return check_c1(args.trials, args.dim, args.seed, args.samples)
+    return [args.dim // 2, args.dim - args.dim // 2]
 
 
 def _cmd_verify(args) -> int:
     props = ("p1", "p2", "p3", "c1") if args.prop == "all" else (args.prop,)
-    reports = [_run_campaign(p, args) for p in props]
+    # The p2 block list is resolved before any campaign runs, so a bad one fails fast.
+    blocks = _p2_blocks(args) if "p2" in props else None
+    campaigns = {
+        "p1": lambda: check_prop1(args.trials, args.dim, args.seed, args.samples),
+        "p2": lambda: check_prop2(blocks, args.trials, args.seed, args.cond),
+        "p3": lambda: check_prop3(args.trials, args.dim, args.seed, args.cond),
+        "c1": lambda: check_c1(args.trials, args.dim, args.seed, args.samples),
+    }
+    reports = [campaigns[p]() for p in props]
     total_violations = sum(r.violations for r in reports)
 
     if len(reports) == 1:
@@ -177,10 +171,7 @@ def main(argv=None) -> int:
     handlers = {"kl": _cmd_kl, "verify": _cmd_verify, "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
-    except (GaussKlError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GaussKlError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

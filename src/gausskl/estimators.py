@@ -12,6 +12,12 @@ densities:
   divergence inequalities that range over all distributions with a
   prescribed covariance.
 
+Both models are normalized by construction, so no build-time quadrature
+runs: the Gaussian's log density uses the certified factor's
+log-determinant, and the mixture is a convex combination of two normalized
+scaled Gaussians.  The tests check normalization against an independent
+quadrature oracle.
+
 The estimator evaluates the divergence definition directly: a sample average
 of ``log p_y - log p_x`` under draws from ``p_y``.  It shares no code path
 with the closed forms in :mod:`gausskl.divergence`, so each side can serve as
@@ -25,15 +31,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .divergence import LN_2PI, Nats
 from .errors import BuildError, DimensionMismatch, SpreadTooLarge
 from .linalg import SpdMatrix, solve_triangular
-
-# Build-time normalization self-check (scalar models only): quadrature of the
-# density over [-40*sigma, 40*sigma] must integrate to 1 within this.
-_NORMALIZATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -125,24 +126,9 @@ def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
     return np.sum(u * u, axis=0)
 
 
-def _check_scalar_normalization(model: DensityModel, sigma: float) -> None:
-    def density(u: float) -> float:
-        return math.exp(model.log_density_batch(np.array([[u]]))[0])
-
-    total, _ = quad(density, -40.0 * sigma, 40.0 * sigma,
-                    points=[-4.0 * sigma, 0.0, 4.0 * sigma], limit=200)
-    if abs(total - 1.0) > _NORMALIZATION_TOL:
-        raise BuildError(
-            f"scalar density integrates to {total!r}, expected 1 within {_NORMALIZATION_TOL}"
-        )
-
-
 def build_gaussian(cov: SpdMatrix) -> GaussianModel:
-    """Gaussian model from a certified covariance."""
-    model = GaussianModel(covariance=cov)
-    if cov.dim == 1:
-        _check_scalar_normalization(model, float(cov.lower[0, 0]))
-    return model
+    """Gaussian model from a certified covariance, normalized by construction."""
+    return GaussianModel(covariance=cov)
 
 
 def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> MixtureModel:
@@ -155,7 +141,8 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> Mixture
 
     so that w*S1 + (1-w)*S2 = target identically.  Any spread in (0, 1) keeps
     both components SPD and makes the mixture non-Gaussian.  The construction
-    is deterministic in (target, w, spread).
+    is deterministic in (target, w, spread), and the mixture is normalized by
+    construction: a convex combination of two normalized Gaussians.
     """
     if not (0.0 < w < 1.0):
         raise BuildError(f"mixture weight must lie strictly in (0, 1), got {w!r}")
@@ -167,12 +154,8 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> Mixture
         raise SpreadTooLarge(
             f"spread {spread!r} drives a component scale to {min(scale_one, scale_two)!r}"
         )
-    model = MixtureModel(weight=w, scale_one=scale_one, scale_two=scale_two,
-                         covariance=target)
-    if target.dim == 1:
-        _check_scalar_normalization(
-            model, math.sqrt(max(scale_one, scale_two)) * float(target.lower[0, 0]))
-    return model
+    return MixtureModel(weight=w, scale_one=scale_one, scale_two=scale_two,
+                        covariance=target)
 
 
 def mc_kl(py: DensityModel, px: DensityModel, n: int, seed: int) -> McEstimate:

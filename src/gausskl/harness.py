@@ -74,6 +74,8 @@ def random_diag_spectrum(dim: int, seed: int,
                          lo: float = VARIANCE_RANGE[0],
                          hi: float = VARIANCE_RANGE[1]) -> DiagSpectrum:
     """Diagonal covariance with variances log-uniform in [lo, hi]."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     v = np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim))
     return DiagSpectrum.from_variances(v)

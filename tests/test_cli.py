@@ -210,6 +210,29 @@ class TestVerifyCommand:
         assert code == 2
         assert "ValueError" in err
 
+    @pytest.mark.parametrize("flags", [("--dim", "1"), ("--dim", "2", "--blocks", "2,x")],
+                             ids=["dim1", "bad-blocks"])
+    def test_all_rejects_bad_blocks_before_any_campaign(self, capsys, monkeypatch, flags):
+        import gausskl.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a campaign ran before the p2 blocks were checked")
+
+        for name in ("check_prop1", "check_prop2", "check_prop3", "check_c1"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run(capsys, "verify", "--prop", "all", "--trials", "5",
+                             "--seed", "1", *flags)
+        assert code == 2
+        assert out == ""
+        assert "ValueError" in err
+
+    @pytest.mark.parametrize("prop", ["p1", "p3", "c1"])
+    def test_dim_zero_is_a_value_error(self, capsys, prop):
+        code, _, err = run(capsys, "verify", "--prop", prop, "--trials", "2",
+                           "--dim", "0", "--seed", "1")
+        assert code == 2
+        assert "ValueError: dim must be >= 1, got 0" in err
+
 
 def test_numbers_round_trip_through_json(tmp_path, capsys):
     x = tmp_path / "x.csv"

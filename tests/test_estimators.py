@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import gausskl
 from gausskl import (
     BuildError,
     DimensionMismatch,
@@ -48,18 +53,61 @@ class TestLogDensity:
         assert math.isfinite(m.log_density_batch(np.array([[60.0]]))[0])
 
 
+def integral(model) -> float:
+    """Quadrature of a scalar model's density, independent of the package.
+
+    Piecewise over breakpoints at 0 and +-{1, 4, 10, 40} sigma_c of every
+    component, with no absolute tolerance, so a component far narrower than
+    the other is still resolved.
+    """
+    variance = float(model.covariance.entries[0, 0])
+    scales = ((model.scale_one, model.scale_two) if isinstance(model, MixtureModel)
+              else (1.0,))
+    sigmas = [math.sqrt(c * variance) for c in scales]
+    cuts = sorted({0.0} | {sign * k * s for s in sigmas for k in (1, 4, 10, 40)
+                           for sign in (-1, 1)})
+    cuts = [u for u in cuts if abs(u) <= 40 * max(sigmas)]
+
+    def density(u):
+        return math.exp(model.log_density_batch(np.array([[u]]))[0])
+
+    return sum(quad(density, a, b, epsabs=0, limit=200)[0] for a, b in zip(cuts, cuts[1:]))
+
+
 class TestNormalization:
     @pytest.mark.parametrize("build", [
         lambda: build_gaussian(validate_spd([[2.3]])),
         lambda: build_matched_mixture(validate_spd([[1.7]]), 0.3, 0.8),
     ], ids=["gaussian", "mixture"])
     def test_scalar_density_integrates_to_one(self, build):
-        model = build()
-        sigma = math.sqrt(float(model.covariance.entries[0, 0]))
-        total, _ = quad(lambda u: math.exp(model.log_density_batch(np.array([[u]]))[0]),
-                        -40 * sigma, 40 * sigma, points=[-4 * sigma, 0, 4 * sigma],
-                        limit=200)
-        assert total == pytest.approx(1.0, abs=1e-6)
+        assert abs(integral(build()) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("variance", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("spread", [0.1, 0.9, 1 - 1e-6])
+    def test_mixture_integrates_to_one_across_scales(self, variance, w, spread):
+        model = build_matched_mixture(validate_spd([[variance]]), w, spread)
+        assert abs(integral(model) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("variance", [1e-8, 1.0, 1e8])
+    def test_gaussian_integrates_to_one_across_scales(self, variance):
+        assert abs(integral(build_gaussian(validate_spd([[variance]]))) - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
+    def test_dim1_and_dim2_accept_same_parameters(self, w):
+        # a narrow component is valid input at every dimension
+        spread = 1 - 1e-6
+        one = build_matched_mixture(validate_spd([[1.0]]), w, spread)
+        two = build_matched_mixture(validate_spd(np.eye(2)), w, spread)
+        assert (one.scale_one, one.scale_two) == (two.scale_one, two.scale_two)
+
+    def test_import_does_not_load_scipy_integrate(self):
+        # the package has no runtime quadrature; only the tests integrate
+        src = str(Path(gausskl.__file__).resolve().parents[1])
+        code = ("import gausskl, gausskl.cli, sys; "
+                "assert 'scipy.integrate' not in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestSample:

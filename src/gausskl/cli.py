@@ -24,6 +24,7 @@ import numpy as np
 from .divergence import kl_gap_diagonal, kl_gaussian
 from .errors import GaussKlError
 from .harness import (
+    _block_dims,
     check_c1,
     check_prop1,
     check_prop2,
@@ -110,14 +111,12 @@ def _cmd_kl(args) -> int:
 
 
 def _p2_blocks(args) -> list:
-    if args.blocks:
-        try:
-            return [int(part) for part in args.blocks.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"--blocks must be comma-separated integers: {exc}") from exc
-    if args.dim < 2:
-        raise ValueError("p2 needs a total dimension of at least 2")
-    return [args.dim // 2, args.dim - args.dim // 2]
+    spec = args.blocks or f"{args.dim // 2},{args.dim - args.dim // 2}"
+    origin = "--blocks" if args.blocks else "--dim split in two"
+    try:
+        return _block_dims([int(part) for part in spec.split(",")])
+    except ValueError as exc:
+        raise ValueError(f"invalid p2 blocks {spec!r} from {origin}: {exc}") from exc
 
 
 def _cmd_verify(args) -> int:

@@ -27,7 +27,7 @@ from scipy.linalg import block_diag
 
 from .divergence import diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import MixtureModel, build_gaussian, build_matched_mixture, mc_kl
-from .linalg import DiagSpectrum, SpdMatrix, random_spd, validate_spd
+from .linalg import DiagSpectrum, SpdMatrix, _random_symmetric, random_spd, validate_spd
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -82,12 +82,21 @@ def random_diag_spectrum(dim: int, seed: int,
 
 
 def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
-    # Conditioning from random_spd, overall variance scale log-uniform in
-    # VARIANCE_RANGE drawn from a derived stream.
+    # Conditioning from random_spd's draw, overall variance scale log-uniform
+    # in VARIANCE_RANGE drawn from a derived stream; certified once.
     rng = np.random.default_rng(derive_seed(seed, 0))
     scale = math.exp(rng.uniform(math.log(VARIANCE_RANGE[0]), math.log(VARIANCE_RANGE[1])))
-    base = random_spd(dim, derive_seed(seed, 1), condition_target)
-    return validate_spd(scale * base.entries)
+    return validate_spd(scale * _random_symmetric(dim, derive_seed(seed, 1), condition_target))
+
+
+def _block_dims(block_dims: Sequence[int]) -> list[int]:
+    # The p2 block list as ints; check_prop2 and the CLI share these checks.
+    dims = [int(d) for d in block_dims]
+    if len(dims) < 2:
+        raise ValueError(f"need at least two blocks, got {dims}")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"block dims must be positive, got {dims}")
+    return dims
 
 
 def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str,
@@ -162,11 +171,7 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
     sy marginal is the corresponding principal submatrix.  The equality case
     re-runs the comparison with sy restricted to its block diagonal.
     """
-    dims = [int(d) for d in block_dims]
-    if len(dims) < 2:
-        raise ValueError(f"need at least two blocks, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"block dims must be positive, got {dims}")
+    dims = _block_dims(block_dims)
     total = sum(dims)
     offsets = np.cumsum([0] + dims)
 

@@ -32,12 +32,6 @@ ASYMMETRY_TOL = 1e-8
 MAX_DIM = 512
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
@@ -67,14 +61,15 @@ class DiagSpectrum:
 
     @classmethod
     def from_variances(cls, variances) -> "DiagSpectrum":
-        v = np.atleast_1d(np.asarray(variances, dtype=float))
+        v = np.atleast_1d(np.array(variances, dtype=float))  # a fresh copy, frozen below
         if v.ndim != 1 or v.size == 0:
             raise NonPositiveVariance("variance spectrum must be a non-empty 1-D vector")
         if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
             raise NonPositiveVariance(
                 f"all variances must be finite and > 0, got min {v.min()!r}"
             )
-        return cls(dim=v.size, variances=_readonly(v))
+        v.flags.writeable = False
+        return cls(dim=v.size, variances=v)
 
     def as_matrix(self) -> SpdMatrix:
         """Embed the spectrum as a diagonal SpdMatrix, certified in O(m) without factoring.
@@ -138,14 +133,8 @@ def validate_spd(raw) -> SpdMatrix:
     return SpdMatrix(dim=dim, entries=sym, lower=lower, log_det=log_det)
 
 
-def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
-    """Reproducible random SPD matrix with a prescribed conditioning target.
-
-    Eigenvalues are drawn log-uniformly from
-    ``[1/sqrt(condition_target), sqrt(condition_target)]`` and conjugated by a
-    Haar-random orthogonal matrix, so ill-conditioning is exercised evenly in
-    log space.  Deterministic in ``(dim, seed, condition_target)``.
-    """
+def _random_symmetric(dim: int, seed: int, condition_target: float) -> np.ndarray:
+    # The exactly symmetric draw behind random_spd, before certification.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > MAX_DIM:
@@ -161,35 +150,35 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
     # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
     q = q * np.sign(np.diag(r))
     a = (q * eigs) @ q.T
-    return validate_spd(0.5 * (a + a.T))
+    return 0.5 * (a + a.T)
+
+
+def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
+    """Reproducible random SPD matrix with a prescribed conditioning target.
+
+    Eigenvalues are drawn log-uniformly from
+    ``[1/sqrt(condition_target), sqrt(condition_target)]`` and conjugated by a
+    Haar-random orthogonal matrix, so ill-conditioning is exercised evenly in
+    log space.  Deterministic in ``(dim, seed, condition_target)``.
+    """
+    return validate_spd(_random_symmetric(dim, seed, condition_target))
 
 
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless CSV matrix file into a raw (unvalidated) array.
 
-    One row per line, comma-separated decimal entries.  Blank lines are
-    ignored.  Raises MatrixParseError on empty, ragged, or non-numeric input.
+    One row per line, comma-separated decimal entries, read by numpy's
+    ``loadtxt``.  Whitespace-only lines are ignored.  Raises MatrixParseError
+    on empty, ragged, or non-numeric input (underscore numerals included).
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            cells = stripped.split(",")
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError as exc:
-                raise MatrixParseError(f"{path}: line {lineno}: {exc}") from exc
+        rows = [line for line in fh if line.strip()]
     if not rows:
         raise MatrixParseError(f"{path}: no numeric rows found")
-    width = len(rows[0])
-    for i, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise MatrixParseError(
-                f"{path}: line {i} has {len(row)} entries, expected {width}"
-            )
-    return np.array(rows, dtype=float)
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise MatrixParseError(f"{path}: {exc}") from exc
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
@@ -197,8 +186,4 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
     17 digits make the double-precision round-trip lossless.
     """
-    arr = np.asarray(matrix, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.atleast_2d(arr):
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)), fmt="%.17g", delimiter=",")

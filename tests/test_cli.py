@@ -210,8 +210,10 @@ class TestVerifyCommand:
         assert code == 2
         assert "ValueError" in err
 
-    @pytest.mark.parametrize("flags", [("--dim", "1"), ("--dim", "2", "--blocks", "2,x")],
-                             ids=["dim1", "bad-blocks"])
+    @pytest.mark.parametrize("flags", [("--dim", "1"), ("--dim", "2", "--blocks", "2,x"),
+                                       ("--dim", "2", "--blocks", "0,2"),
+                                       ("--dim", "2", "--blocks", "5")],
+                             ids=["dim1", "bad-blocks", "zero-block", "one-block"])
     def test_all_rejects_bad_blocks_before_any_campaign(self, capsys, monkeypatch, flags):
         import gausskl.cli as cli_mod
 

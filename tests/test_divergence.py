@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,12 +68,15 @@ class TestKlScalar:
             assert kl_scalar(1.0, 1.0 + 2.0 ** -k) == pytest.approx(expected, rel=1e-6, abs=0)
 
     def test_extreme_variance_ratios(self):
-        # var_y / var_x - 1 rounds to -1, and at 1e-400 the ratio underflows
-        for r in (1e-17, 1e-40, 1e-300):
-            expected = 0.5 * (r - math.log(r) - 1.0)
-            assert kl_scalar(1.0, r) == pytest.approx(expected, rel=1e-15)
-        assert kl_scalar(1e200, 1e-200) == pytest.approx(200 * math.log(10) - 0.5, rel=1e-13)
-        assert kl_scalar(1e-200, 1e200) == math.inf
+        # var_y / var_x - 1 rounds to -1, and at 1e-400 the ratio underflows;
+        # the intended +inf comes without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (1e-17, 1e-40, 1e-300):
+                expected = 0.5 * (r - math.log(r) - 1.0)
+                assert kl_scalar(1.0, r) == pytest.approx(expected, rel=1e-15)
+            assert kl_scalar(1e200, 1e-200) == pytest.approx(200 * math.log(10) - 0.5, rel=1e-13)
+            assert kl_scalar(1e-200, 1e200) == math.inf
 
 
 class TestKlDiagonal:
@@ -86,12 +90,27 @@ class TestKlDiagonal:
         assert kl_diagonal(spectrum(1, 4), spectrum(2, 8)) == pytest.approx(
             0.3068528194400546, abs=1e-12)
 
+    @staticmethod
+    def mixed_branch_pair():
+        # near-equal coordinates (|u| < 0.5) interleaved with 1e+-200 ones
+        # (|u| >= 0.5), so both branches of the excess switch run in one call
+        k = np.arange(10, 31)
+        near_x = np.geomspace(1e-100, 1e100, k.size)
+        far_x = np.resize([1e200, 1e-200, 1e200], k.size)
+        far_y = np.resize([1e-200, 1e-190, 1.0], k.size)
+        vx = np.column_stack([near_x, far_x]).ravel()
+        vy = np.column_stack([near_x * (1.0 + 2.0 ** -k), far_y]).ravel()
+        return DiagSpectrum.from_variances(vx), DiagSpectrum.from_variances(vy)
+
     def test_equals_scalar_sum_exactly(self):
-        for seed in range(50):
-            lx = random_diag_spectrum(6, derive_seed(seed, 0))
-            ly = random_diag_spectrum(6, derive_seed(seed, 1))
+        pairs = [(random_diag_spectrum(m, derive_seed(seed, 0)),
+                  random_diag_spectrum(m, derive_seed(seed, 1)))
+                 for m, seeds in ((6, range(50)), (512, range(3))) for seed in seeds]
+        pairs.append(self.mixed_branch_pair())
+        for lx, ly in pairs:
             expected = sum(kl_scalar(float(a), float(b))
                            for a, b in zip(lx.variances, ly.variances))
+            assert math.isfinite(expected)
             assert kl_diagonal(lx, ly) == expected
 
     def test_matches_dense_path(self):
@@ -174,7 +193,8 @@ class TestKlGaussian:
             1.5 * (1e-40 - math.log(1e-40) - 1.0), rel=1e-15)
         assert kl_gaussian(sy, sx) == pytest.approx(
             1.5 * (1e40 - math.log(1e40) - 1.0), rel=1e-15)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             huge = kl_gaussian(validate_spd(1e-300 * np.eye(2)), validate_spd(1e300 * np.eye(2)))
         assert huge == math.inf
 
@@ -224,6 +244,13 @@ class TestDiagonalLowerBound:
         dense = diagonal_lower_bound(lx, validate_spd([[2.0, 0.3], [0.3, 1.0]]))
         plain = diagonal_lower_bound(lx, validate_spd(np.diag([2.0, 1.0])))
         assert dense == plain
+
+    def test_equals_kl_diagonal_of_target_diagonal(self):
+        for dim in (*range(1, 9), 64, 512):
+            for seed in range(3):
+                lx = random_diag_spectrum(dim, derive_seed(seed, 12))
+                sy = random_spd(dim, derive_seed(seed, 13), 1e4)
+                assert diagonal_lower_bound(lx, sy) == kl_diagonal(lx, sy.diagonal())
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

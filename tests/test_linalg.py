@@ -225,9 +225,28 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back, a.entries)
 
     def test_blank_lines_ignored(self, tmp_path):
+        # the whitespace-only line would be a one-column row to loadtxt alone
         path = tmp_path / "m.csv"
-        path.write_text("1,0\n\n0,1\n")
+        path.write_text("1,0\n\n \t \n0,1\n")
         np.testing.assert_array_equal(read_matrix_csv(path), np.eye(2))
+
+    def test_writer_bytes_match_repr_oracle(self, tmp_path):
+        a = np.array([[-0.0, 5e-324, 1e300, -1e-300],
+                      [1.0 / 3.0, -2.5, 1e-300, -1e300],
+                      [0.0, 2.0 ** -1074 * 3, 123456789.0, 0.1]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, a)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in a)
+        assert path.read_bytes() == expected.encode("ascii")
+        back = read_matrix_csv(path)
+        assert back.tobytes() == a.tobytes()  # -0.0 and the subnormals survive
+
+    def test_underscore_numerals_rejected(self, tmp_path):
+        # Python's float() accepts "1_000"; matrix files do not
+        path = tmp_path / "m.csv"
+        path.write_text("1_000,0\n0,1\n")
+        with pytest.raises(MatrixParseError, match="m.csv"):
+            read_matrix_csv(path)
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -243,6 +262,7 @@ class TestCsvRoundTrip:
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
-        path.write_text("\n")
-        with pytest.raises(MatrixParseError):
-            read_matrix_csv(path)
+        for text in ("\n", "", " \n\t\n"):
+            path.write_text(text)
+            with pytest.raises(MatrixParseError, match="no numeric rows"):
+                read_matrix_csv(path)

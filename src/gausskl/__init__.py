@@ -25,7 +25,6 @@ from .estimators import (
     GaussianModel,
     McEstimate,
     MixtureModel,
-    build_gaussian,
     build_matched_mixture,
     mc_kl,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "PropertyReport",
     "SpdMatrix",
     "SpreadTooLarge",
-    "build_gaussian",
     "build_matched_mixture",
     "check_c1",
     "check_prop1",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveVariance
+from .errors import DimensionMismatch
 from .linalg import DiagSpectrum, SpdMatrix, solve_triangular
 
 # Divergences are measured in nats (natural log) throughout; callers convert.
@@ -67,10 +67,7 @@ def kl_scalar(var_x: float, var_y: float) -> Nats:
     Returns 0.5 * [u - ln(1 + u)] with u = var_y / var_x - 1, taken as
     ``(var_y - var_x) / var_x`` so it does not cancel near equal variances.
     """
-    for name, var in (("var_x", var_x), ("var_y", var_y)):
-        if not (var > 0.0 and math.isfinite(var)):
-            raise NonPositiveVariance(f"{name} must be finite and > 0, got {var!r}")
-    return _diagonal_sum(np.array([var_x], dtype=float), np.array([var_y], dtype=float))
+    return kl_diagonal(DiagSpectrum.from_variances([var_x]), DiagSpectrum.from_variances([var_y]))
 
 
 def kl_diagonal(lx: DiagSpectrum, ly: DiagSpectrum) -> Nats:
@@ -95,20 +92,21 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     u_i = M_ii^2 - 1 = ((dy_i - dx_i) / dx_i) (dy_i / dx_i + 1) for the
     factor diagonals dx, dy.  Every term is >= 0 in floating point.  The strict
     lower part of M comes from one unit-diagonal solve of the
-    column-normalized factors, which never divides: sx == sy gives +0.0.
+    column-normalized factors, which never divides: sx == sy gives +0.0.  An
+    overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")
     dx, dy = sx.lower.diagonal(), sy.lower.diagonal()
     n = solve_triangular(sx.lower / dx, sy.lower / dy, lower=True,
                          unit_diagonal=True, check_finite=False)
-    np.fill_diagonal(n, 0.0)
-    n *= dy / dx[:, None]  # the strict lower part of M
-    r = dy / dx
-    with np.errstate(over="ignore"):  # an overflowing u gives the intended +inf
-        u = (dy - dx) / dx * (r + 1.0)
+    with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
+        n *= dy  # both scalings are finite, so a zero entry stays zero (no 0 * inf)
+        n /= dx[:, None]
+        u = (dy - dx) / dx * (dy / dx + 1.0)
+    np.fill_diagonal(n, 0.0)  # the strict lower part of M
     off = n.ravel("K")
-    return 0.5 * (float(off @ off) + float(_excess(u, 2.0 * np.log(r)).sum()))
+    return 0.5 * (float(off @ off) + float(_excess(u, 2.0 * (np.log(dy) - np.log(dx))).sum()))
 
 
 def diagonal_lower_bound(lx: DiagSpectrum, sy: SpdMatrix) -> Nats:

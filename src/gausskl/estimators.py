@@ -12,11 +12,9 @@ densities:
   divergence inequalities that range over all distributions with a
   prescribed covariance.
 
-Both models are normalized by construction, so no build-time quadrature
-runs: the Gaussian's log density uses the certified factor's
-log-determinant, and the mixture is a convex combination of two normalized
-scaled Gaussians.  The tests check normalization against an independent
-quadrature oracle.
+Both models are normalized by construction: the Gaussian's log density uses
+the certified factor's log-determinant, and the mixture is a convex
+combination of two normalized scaled Gaussians.
 
 The estimator evaluates the divergence definition directly: a sample average
 of ``log p_y - log p_x`` under draws from ``p_y``.  It shares no code path
@@ -126,11 +124,6 @@ def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
     return np.sum(u * u, axis=0)
 
 
-def build_gaussian(cov: SpdMatrix) -> GaussianModel:
-    """Gaussian model from a certified covariance, normalized by construction."""
-    return GaussianModel(covariance=cov)
-
-
 def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> MixtureModel:
     """Two-component mixture whose overall covariance equals ``target`` exactly.
 
@@ -141,8 +134,7 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> Mixture
 
     so that w*S1 + (1-w)*S2 = target identically.  Any spread in (0, 1) keeps
     both components SPD and makes the mixture non-Gaussian.  The construction
-    is deterministic in (target, w, spread), and the mixture is normalized by
-    construction: a convex combination of two normalized Gaussians.
+    is deterministic in (target, w, spread).
     """
     if not (0.0 < w < 1.0):
         raise BuildError(f"mixture weight must lie strictly in (0, 1), got {w!r}")

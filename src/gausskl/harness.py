@@ -23,11 +23,11 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .divergence import diagonal_lower_bound, kl_diagonal, kl_gaussian
-from .estimators import MixtureModel, build_gaussian, build_matched_mixture, mc_kl
-from .linalg import DiagSpectrum, SpdMatrix, _random_symmetric, random_spd, validate_spd
+from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
+from .linalg import (DiagSpectrum, SpdMatrix, _block_diagonal, _random_symmetric, random_spd,
+                     validate_spd)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -178,7 +178,7 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
     def trial(t_seed: int) -> tuple[float, float]:
         blocks = [random_spd(d, derive_seed(t_seed, i), condition_target)
                   for i, d in enumerate(dims)]
-        sx = validate_spd(block_diag(*[b.entries for b in blocks]))
+        sx = _block_diagonal(blocks)
         sy = random_spd(total, derive_seed(t_seed, len(dims)), condition_target)
 
         sub = [validate_spd(sy.entries[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
@@ -186,7 +186,7 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
         marginal_sum = sum(kl_gaussian(blocks[i], sub[i]) for i in range(len(dims)))
         slack = kl_gaussian(sx, sy) - marginal_sum
 
-        sy_bd = validate_spd(block_diag(*[s.entries for s in sub]))
+        sy_bd = _block_diagonal(sub)
         slack_eq = -abs(kl_gaussian(sx, sy_bd) - marginal_sum)
         return slack, slack_eq
 
@@ -208,7 +208,7 @@ def check_prop1(trials: int, dim: int, master_seed: int, n_samples: int) -> Prop
     def trial(t_seed: int) -> tuple[float]:
         sx = _random_scaled_spd(dim, derive_seed(t_seed, 0), condition_target=10.0)
         sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
-        est = mc_kl(_matched_mixture(sy, t_seed), build_gaussian(sx), n_samples,
+        est = mc_kl(_matched_mixture(sy, t_seed), GaussianModel(sx), n_samples,
                     derive_seed(t_seed, 3))
         slack = est.value - kl_gaussian(sx, sy) + MC_BAND_STDERRS * est.std_error
         return (slack,)
@@ -228,12 +228,12 @@ def check_c1(trials: int, dim: int, master_seed: int, n_samples: int) -> Propert
     def trial(t_seed: int) -> tuple[float, float]:
         lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
         sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
-        x = build_gaussian(lx.as_matrix())
+        x = GaussianModel(lx.as_matrix())
         est = mc_kl(_matched_mixture(sy, t_seed), x, n_samples, derive_seed(t_seed, 3))
         slack = est.value - diagonal_lower_bound(lx, sy) + MC_BAND_STDERRS * est.std_error
 
         ly = random_diag_spectrum(dim, derive_seed(t_seed, 4))
-        est_eq = mc_kl(build_gaussian(ly.as_matrix()), x, n_samples, derive_seed(t_seed, 5))
+        est_eq = mc_kl(GaussianModel(ly.as_matrix()), x, n_samples, derive_seed(t_seed, 5))
         slack_eq = (MC_BAND_STDERRS * est_eq.std_error
                     - abs(est_eq.value - kl_diagonal(lx, ly)))
         return slack, slack_eq

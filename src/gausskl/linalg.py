@@ -36,9 +36,11 @@ MAX_DIM = 512
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
 
-    Construct via :func:`validate_spd` or :meth:`DiagSpectrum.as_matrix`.
-    ``lower`` is the lower-triangular Cholesky factor (``lower @ lower.T``
-    reconstructs ``entries``) and ``log_det`` the log-determinant,
+    Three routes build one, and only :func:`validate_spd` factors;
+    :meth:`DiagSpectrum.as_matrix` takes a spectrum's square roots, and the
+    block-diagonal assembly places certified blocks and their factors on the
+    diagonal.  ``lower`` is the lower-triangular Cholesky factor (``lower @
+    lower.T`` reconstructs ``entries``) and ``log_det`` the log-determinant,
     ``2 * sum(log(diag(lower)))``.  Both arrays are read-only.
     """
 
@@ -79,12 +81,7 @@ class DiagSpectrum:
         """
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds supported maximum {MAX_DIM}")
-        root = np.sqrt(self.variances)
-        entries, lower = np.diag(self.variances), np.diag(root)
-        entries.flags.writeable = False
-        lower.flags.writeable = False
-        log_det = 2.0 * float(np.sum(np.log(root)))
-        return SpdMatrix(dim=self.dim, entries=entries, lower=lower, log_det=log_det)
+        return _certified(np.diag(self.variances), np.diag(np.sqrt(self.variances)))
 
 
 def validate_spd(raw) -> SpdMatrix:
@@ -126,11 +123,31 @@ def validate_spd(raw) -> SpdMatrix:
         lower = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    # Both arrays are fresh, so they are frozen in place rather than copied.
-    sym.flags.writeable = False
+    return _certified(sym, lower)
+
+
+def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
+    # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.
+    entries.flags.writeable = False
     lower.flags.writeable = False
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return SpdMatrix(dim=dim, entries=sym, lower=lower, log_det=log_det)
+    return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, log_det=log_det)
+
+
+def _block_diagonal(blocks: list[SpdMatrix]) -> SpdMatrix:
+    # Assembled without factoring: the factor of a block-diagonal matrix is
+    # the block diagonal of the blocks' factors.
+    dim = sum(b.dim for b in blocks)
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+    entries, lower = np.zeros((dim, dim)), np.zeros((dim, dim))
+    start = 0
+    for b in blocks:
+        block = slice(start, start + b.dim)
+        entries[block, block] = b.entries
+        lower[block, block] = b.lower
+        start += b.dim
+    return _certified(entries, lower)
 
 
 def _random_symmetric(dim: int, seed: int, condition_target: float) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from gausskl import (
-    build_gaussian,
+    GaussianModel,
     check_c1,
     check_prop1,
     check_prop2,
@@ -43,7 +43,7 @@ def test_criterion_1_closed_form_oracle_equivalence():
             seed = derive_seed(1_000 * dim, k)
             sx = random_spd(dim, derive_seed(seed, 0), 10.0)
             sy = random_spd(dim, derive_seed(seed, 1), 10.0)
-            est = mc_kl(build_gaussian(sy), build_gaussian(sx), 1_000_000,
+            est = mc_kl(GaussianModel(sy), GaussianModel(sx), 1_000_000,
                         seed=derive_seed(seed, 2))
             if abs(est.value - kl_gaussian(sx, sy)) > 4.0 * est.std_error:
                 misses += 1

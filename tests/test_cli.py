@@ -60,6 +60,13 @@ class TestKlCommand:
         results = json.loads(out)["results"]
         assert "kl_nats" in results and "bound_nats" not in results
 
+        # -0.0 off the diagonal is a literal zero; 1e-300 is not.
+        for off, keys in ((-0.0, {"kl_nats", "bound_nats", "gap_nats"}), (1e-300, {"kl_nats"})):
+            write_csv(x, [[2.0, off], [off, 3.0]])
+            code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
+            assert code == 0
+            assert set(json.loads(out)["results"]) == keys
+
     def test_text_and_json_report_identical_numbers(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
         y = tmp_path / "y.csv"

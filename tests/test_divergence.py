@@ -7,8 +7,8 @@ import pytest
 from gausskl import (
     DiagSpectrum,
     DimensionMismatch,
+    GaussianModel,
     NonPositiveVariance,
-    build_gaussian,
     diagonal_lower_bound,
     gaussian_entropy,
     kl_diagonal,
@@ -146,7 +146,7 @@ class TestKlGaussian:
     def test_worked_example_against_monte_carlo(self):
         sx = validate_spd(np.eye(2))
         sy = validate_spd([[1.0, 0.5], [0.5, 1.0]])
-        est = mc_kl(build_gaussian(sy), build_gaussian(sx), 1_000_000, seed=2024)
+        est = mc_kl(GaussianModel(sy), GaussianModel(sx), 1_000_000, seed=2024)
         assert abs(kl_gaussian(sx, sy) - est.value) <= 4.0 * est.std_error
 
     def test_diagonal_pair_matches_scalar_sum(self):
@@ -196,7 +196,18 @@ class TestKlGaussian:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             huge = kl_gaussian(validate_spd(1e-300 * np.eye(2)), validate_spd(1e300 * np.eye(2)))
+            # A pivot ratio dy_i / dx_i that overflows: +inf, never NaN, also
+            # where the overflowing ratio dy_j / dx_i meets a zero entry of M.
+            overflowing = [kl_gaussian(validate_spd(np.diag(vx)), validate_spd(np.diag(vy)))
+                           for vx, vy in (([1e-320], [1e300]),
+                                          ([1e-320, 1.0], [1e300, 1.0]),
+                                          ([1.0, 1e-320], [1e300, 1.0]))]
+            # dy_0 / dx_1 overflows for S = diag(8e307, 5e-324), yet KL(S, S) = +0.0
+            wide = validate_spd(np.diag([8e307, 5e-324]))
+            same = kl_gaussian(wide, wide)
         assert huge == math.inf
+        assert overflowing == [math.inf] * 3
+        assert same == 0.0 and math.copysign(1.0, same) == 1.0
 
     def test_scalar_path_agreement(self):
         rng = np.random.default_rng(17)
@@ -323,7 +334,7 @@ class TestGaussianEntropy:
 
     def test_two_dimensional_monte_carlo(self):
         # -E[ln p] under the model itself
-        model = build_gaussian(validate_spd(np.eye(2)))
+        model = GaussianModel(validate_spd(np.eye(2)))
         draws = model.sample(200_000, seed=31)
         lp = model.log_density_batch(draws)
         se = lp.std(ddof=1) / math.sqrt(lp.size)

@@ -12,9 +12,9 @@ import gausskl
 from gausskl import (
     BuildError,
     DimensionMismatch,
+    GaussianModel,
     MixtureModel,
     SpreadTooLarge,
-    build_gaussian,
     build_matched_mixture,
     kl_gaussian,
     mc_kl,
@@ -28,7 +28,7 @@ from oracles import normal_log_pdf
 
 
 def std_normal(dim=1):
-    return build_gaussian(validate_spd(np.eye(dim)))
+    return GaussianModel(validate_spd(np.eye(dim)))
 
 
 class TestLogDensity:
@@ -42,7 +42,7 @@ class TestLogDensity:
 
     def test_degenerate_mixture_equals_gaussian(self):
         cov = validate_spd([[2.0, 0.4], [0.4, 1.0]])
-        gaussian = build_gaussian(cov)
+        gaussian = GaussianModel(cov)
         degenerate = MixtureModel(weight=0.5, scale_one=1.0, scale_two=1.0, covariance=cov)
         points = np.random.default_rng(3).standard_normal((20, 2))
         np.testing.assert_allclose(degenerate.log_density_batch(points),
@@ -76,7 +76,7 @@ def integral(model) -> float:
 
 class TestNormalization:
     @pytest.mark.parametrize("build", [
-        lambda: build_gaussian(validate_spd([[2.3]])),
+        lambda: GaussianModel(validate_spd([[2.3]])),
         lambda: build_matched_mixture(validate_spd([[1.7]]), 0.3, 0.8),
     ], ids=["gaussian", "mixture"])
     def test_scalar_density_integrates_to_one(self, build):
@@ -91,7 +91,7 @@ class TestNormalization:
 
     @pytest.mark.parametrize("variance", [1e-8, 1.0, 1e8])
     def test_gaussian_integrates_to_one_across_scales(self, variance):
-        assert abs(integral(build_gaussian(validate_spd([[variance]]))) - 1.0) <= 1e-6
+        assert abs(integral(GaussianModel(validate_spd([[variance]]))) - 1.0) <= 1e-6
 
     @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
     def test_dim1_and_dim2_accept_same_parameters(self, w):
@@ -170,7 +170,7 @@ class TestMatchedMixture:
     def test_small_spread_is_nearly_gaussian(self):
         target = validate_spd([[1.0]])
         m = build_matched_mixture(target, 0.5, 1e-6)
-        est = mc_kl(m, build_gaussian(target), 100_000, seed=13)
+        est = mc_kl(m, GaussianModel(target), 100_000, seed=13)
         assert abs(est.value) <= 4.0 * est.std_error
 
     def test_weight_boundaries_rejected(self):
@@ -193,19 +193,19 @@ class TestMatchedMixture:
 
 class TestMcKl:
     def test_deterministic(self):
-        py = build_gaussian(validate_spd([[1.0, 0.5], [0.5, 1.0]]))
+        py = GaussianModel(validate_spd([[1.0, 0.5], [0.5, 1.0]]))
         px = std_normal(2)
         a = mc_kl(py, px, 10_000, seed=3)
         b = mc_kl(py, px, 10_000, seed=3)
         assert a == b
 
     def test_same_model_estimates_zero(self):
-        g = build_gaussian(validate_spd([[1.3, 0.2], [0.2, 0.9]]))
+        g = GaussianModel(validate_spd([[1.3, 0.2], [0.2, 0.9]]))
         est = mc_kl(g, g, 50_000, seed=21)
         assert abs(est.value) <= 4.0 * est.std_error
 
     def test_worked_gaussian_pair(self):
-        py = build_gaussian(validate_spd([[1.0, 0.5], [0.5, 1.0]]))
+        py = GaussianModel(validate_spd([[1.0, 0.5], [0.5, 1.0]]))
         est = mc_kl(py, std_normal(2), 1_000_000, seed=40)
         assert abs(est.value - 0.14384103622589045) <= 4.0 * est.std_error
 
@@ -217,7 +217,7 @@ class TestMcKl:
         assert est.value > 0.0
 
     def test_std_error_definition(self):
-        py = build_gaussian(validate_spd([[2.0]]))
+        py = GaussianModel(validate_spd([[2.0]]))
         px = std_normal(1)
         n, seed = 5000, 17
         est = mc_kl(py, px, n, seed)
@@ -238,7 +238,7 @@ class TestMcKl:
             rng = np.random.default_rng(derive_seed(run, 12))
             m = build_matched_mixture(target, rng.uniform(0.2, 0.8),
                                       rng.uniform(0.1, 0.9))
-            est = mc_kl(m, build_gaussian(lx.as_matrix()), 20_000,
+            est = mc_kl(m, GaussianModel(lx.as_matrix()), 20_000,
                         seed=derive_seed(run, 13))
             floor = kl_gaussian(lx.as_matrix(), target)
             assert est.value >= floor - 4.0 * est.std_error
@@ -250,7 +250,7 @@ class TestMcKl:
             dim = 1 + run % 4
             sx = random_spd(dim, derive_seed(run, 0), 20.0)
             sy = random_spd(dim, derive_seed(run, 1), 20.0)
-            est = mc_kl(build_gaussian(sy), build_gaussian(sx), 100_000,
+            est = mc_kl(GaussianModel(sy), GaussianModel(sx), 100_000,
                         seed=derive_seed(run, 2))
             if abs(est.value - kl_gaussian(sx, sy)) <= 4.0 * est.std_error:
                 hits += 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from gausskl import (
     AsymmetryExceedsTolerance,
@@ -9,6 +10,8 @@ from gausskl import (
     NonPositiveVariance,
     NotPositiveDefinite,
     NotSquare,
+    check_prop2,
+    derive_seed,
     kl_gaussian,
     random_spd,
     read_matrix_csv,
@@ -16,7 +19,7 @@ from gausskl import (
     write_matrix_csv,
 )
 from gausskl import divergence
-from gausskl.linalg import MAX_DIM, DiagSpectrum
+from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_diagonal
 
 
 class TestValidateSpd:
@@ -95,6 +98,17 @@ class TestFactoredOnce:
         DiagSpectrum.from_variances([1.0, 4.0, 2.0]).as_matrix()
         sy.diagonal().as_matrix()
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("dims", [[2, 2], [3, 3, 2]])
+    def test_prop2_trial_factors_blocks_sy_and_marginals_only(self, monkeypatch, dims):
+        # Per trial: each reference block, sy and each marginal of sy.  The
+        # two block-diagonal matrices are assembled from those factors.
+        calls = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or original(a))
+        trials = 3
+        check_prop2(dims, trials, 1)
+        assert len(calls) == trials * (2 * len(dims) + 1)
 
     def test_one_triangular_solve_per_divergence(self, monkeypatch):
         sx, sy = random_spd(4, 8, 100.0), random_spd(4, 9, 100.0)
@@ -214,6 +228,34 @@ class TestDiagSpectrum:
         lx = DiagSpectrum.from_variances(np.ones(MAX_DIM + 1))
         with pytest.raises(ValueError, match="exceeds supported maximum"):
             lx.as_matrix()
+
+
+class TestBlockDiagonal:
+    def test_equals_dense_assembly(self):
+        # Entries and factor equal scipy's block_diag of the blocks' arrays
+        # bit for bit; log_det agrees with refactoring the dense matrix.
+        structures = [[1], [1, 1], [2, 2], [1, 2], [3, 3, 2], [4, 1, 3, 2], [8, 5]]
+        for seed, dims in enumerate(structures):
+            blocks = [random_spd(d, derive_seed(seed, i), 1e4) for i, d in enumerate(dims)]
+            blocks.append(DiagSpectrum.from_variances([1e-3, 7.0, 1e3]).as_matrix())
+            assembled = _block_diagonal(blocks)
+            entries = block_diag(*[b.entries for b in blocks])
+            dense = validate_spd(entries)
+            assert assembled.dim == sum(dims) + 3
+            assert assembled.entries.tobytes() == entries.tobytes()
+            assert assembled.lower.tobytes() == block_diag(*[b.lower for b in blocks]).tobytes()
+            # relative to the size of the log-pivot terms, so a log_det near 0 is fine
+            scale = 2.0 * np.abs(np.log(np.diag(dense.lower))).sum()
+            assert abs(assembled.log_det - dense.log_det) <= 1e-12 * scale
+            assert not assembled.entries.flags.writeable
+            assert not assembled.lower.flags.writeable
+
+    def test_rejects_dimension_above_max(self):
+        half = DiagSpectrum.from_variances(np.ones(MAX_DIM // 2)).as_matrix()
+        assert _block_diagonal([half, half]).dim == MAX_DIM
+        one = validate_spd([[1.0]])
+        with pytest.raises(ValueError, match="exceeds supported maximum"):
+            _block_diagonal([half, half, one])
 
 
 class TestCsvRoundTrip:

@@ -1,18 +1,18 @@
 """Randomized property campaigns over the divergence inequalities.
 
-Each check is a per-trial function that draws one random instance and
-returns the slack of its inequality plus, where there is one, the slack of
-its equality case, ``-|deviation|``.  One driver runs it over the trials and
-reports violations instead of raising: a trial violates when any of its
-slacks falls below -tolerance, and the worst margin is the minimum over all
-slacks, equality cases included.  Closed-form checks use an absolute
-tolerance of 1e-10 nats; Monte Carlo checks fold a 4-standard-error band into
-the slack and use tolerance 0, which puts the two-sided failure probability
-per check around 0.006%.
+Each check returns, per trial, the slack of its inequality plus, where there
+is one, the slack of its equality case, ``-|deviation|``.  ``_campaign`` folds
+them into a report instead of raising: a trial violates when any of its
+slacks falls below -tolerance; the worst margin is the minimum slack.
+Closed-form checks use an absolute tolerance of 1e-10 nats; Monte Carlo
+checks fold a 4-standard-error band into the slack and use tolerance 0, which
+puts the two-sided failure probability per check around 0.006%.
 
-Per-trial randomness derives from the master seed through a fixed counter
-scheme (splitmix64), so campaigns are reproducible and trials are independent
-enough to parallelize.
+Per-trial seeds derive from the master seed by a counter scheme (splitmix64)
+and reach a campaign a chunk at a time (``_CHUNK_ELEMENTS`` matrix entries at
+most).  ``p3`` and ``p2`` draw each trial from its own streams and score the
+chunk as (T, m, m) stacks through the kernels of the single-matrix API, so
+reports are bit-identical whatever the chunking.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .divergence import diagonal_lower_bound, kl_diagonal, kl_gaussian
+from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
-from .linalg import (DiagSpectrum, SpdMatrix, _block_diagonal, _random_symmetric, random_spd,
-                     validate_spd)
+from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certify, _diag_lower,
+                     _random_symmetric, validate_spd)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -38,6 +38,7 @@ VARIANCE_RANGE = (1e-3, 1e3)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_CHUNK_ELEMENTS = 2 ** 16  # trials * dim**2 per chunk (at least one trial) bounds its stacks
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -74,11 +75,15 @@ def random_diag_spectrum(dim: int, seed: int,
                          lo: float = VARIANCE_RANGE[0],
                          hi: float = VARIANCE_RANGE[1]) -> DiagSpectrum:
     """Diagonal covariance with variances log-uniform in [lo, hi]."""
+    return DiagSpectrum.from_variances(_log_uniform(dim, [seed], lo, hi)[0])
+
+
+def _log_uniform(dim: int, seeds: list[int], lo=VARIANCE_RANGE[0], hi=VARIANCE_RANGE[1]):
+    # random_diag_spectrum's variances, one row per seed.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(seed)
-    v = np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim))
-    return DiagSpectrum.from_variances(v)
+    return np.exp([np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), size=dim)
+                   for seed in seeds])
 
 
 def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
@@ -86,7 +91,8 @@ def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatri
     # in VARIANCE_RANGE drawn from a derived stream; certified once.
     rng = np.random.default_rng(derive_seed(seed, 0))
     scale = math.exp(rng.uniform(math.log(VARIANCE_RANGE[0]), math.log(VARIANCE_RANGE[1])))
-    return validate_spd(scale * _random_symmetric(dim, derive_seed(seed, 1), condition_target))
+    sym = _random_symmetric(dim, [derive_seed(seed, 1)], condition_target)[0]
+    return validate_spd(scale * sym)
 
 
 def _block_dims(block_dims: Sequence[int]) -> list[int]:
@@ -99,19 +105,21 @@ def _block_dims(block_dims: Sequence[int]) -> list[int]:
     return dims
 
 
-def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str,
-              trial: Callable[[int], tuple[float, ...]]) -> PropertyReport:
-    """Run ``trial`` on every per-trial seed and fold its slacks into a report."""
+def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str, dim: int,
+              chunk: Callable[[list[int]], Sequence[Sequence[float]]]) -> PropertyReport:
+    """Run ``chunk`` on the per-trial seeds and fold its rows of slacks into a report."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    step = max(1, _CHUNK_ELEMENTS // max(dim, 1) ** 2)  # dim < 1 is left to the draws
     violations = 0
     worst = math.inf
-    for t in range(trials):
-        slacks = trial(derive_seed(master_seed, t))
-        # any(), not min(slacks) < -tol: a NaN first slack must not hide the rest.
-        if any(s < -tol for s in slacks):
-            violations += 1
-        worst = min(worst, *slacks)
+    for start in range(0, trials, step):
+        seeds = [derive_seed(master_seed, t) for t in range(start, min(start + step, trials))]
+        for slacks in np.asarray(chunk(seeds), dtype=float).tolist():
+            # any(), not min(slacks) < -tol: a NaN first slack must not hide the rest.
+            if any(s < -tol for s in slacks):
+                violations += 1
+            worst = min(worst, *slacks)
     digest = f"prop={prop} {settings} master_seed={master_seed} scheme=splitmix64"
     return PropertyReport(prop, trials, violations, worst, digest)
 
@@ -124,7 +132,7 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
                 f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")
-    return _campaign(prop, trials, master_seed, 0.0, settings, trial)
+    return _campaign(prop, trials, master_seed, 0.0, settings, dim, lambda s: [*map(trial, s)])
 
 
 def _matched_mixture(sy: SpdMatrix, t_seed: int) -> MixtureModel:
@@ -144,21 +152,21 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     :func:`kl_gap_diagonal` is nonnegative by construction, so it would test
     nothing here.
     """
-    def trial(t_seed: int) -> tuple[float, float]:
-        lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
-        sy = random_spd(dim, derive_seed(t_seed, 1), condition_target)
-        sx = lx.as_matrix()
-
-        slack = kl_gaussian(sx, sy) - diagonal_lower_bound(lx, sy)
-
-        sy_diag = sy.diagonal().as_matrix()
-        slack_eq = -abs(kl_gaussian(sx, sy_diag) - diagonal_lower_bound(lx, sy_diag))
-        return slack, slack_eq
+    def chunk(seeds: list[int]) -> np.ndarray:
+        vx = _log_uniform(dim, [derive_seed(s, 0) for s in seeds])
+        sy, ly = _certify(_random_symmetric(dim, [derive_seed(s, 1) for s in seeds],
+                                            condition_target))
+        vy = np.diagonal(sy, axis1=1, axis2=2)
+        lx = _diag_lower(vx)
+        bound = _diagonal_sum(vx, vy)  # also the bound for sy's diagonal
+        slack = _kl(lx, ly) - bound
+        slack_eq = -np.abs(_kl(lx, _diag_lower(vy)) - bound)
+        return np.stack([slack, slack_eq], axis=1)
 
     settings = (f"trials={trials} dim={dim} condition_target={condition_target:g} "
                 f"lx_range=[{VARIANCE_RANGE[0]:g},{VARIANCE_RANGE[1]:g}] "
                 f"tol={CLOSED_FORM_TOL:g}")
-    return _campaign("p3", trials, master_seed, CLOSED_FORM_TOL, settings, trial)
+    return _campaign("p3", trials, master_seed, CLOSED_FORM_TOL, settings, dim, chunk)
 
 
 def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
@@ -175,24 +183,23 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
     total = sum(dims)
     offsets = np.cumsum([0] + dims)
 
-    def trial(t_seed: int) -> tuple[float, float]:
-        blocks = [random_spd(d, derive_seed(t_seed, i), condition_target)
-                  for i, d in enumerate(dims)]
-        sx = _block_diagonal(blocks)
-        sy = random_spd(total, derive_seed(t_seed, len(dims)), condition_target)
+    def chunk(seeds: list[int]) -> np.ndarray:
+        # Certified (entries, factor) stacks of the reference blocks, then of sy.
+        draws = [_certify(_random_symmetric(d, [derive_seed(s, i) for s in seeds],
+                                            condition_target))
+                 for i, d in enumerate(dims + [total])]
+        blocks, (sy, ly) = [b[1] for b in draws[:-1]], draws[-1]
+        lx = _block_stack(blocks)
 
-        sub = [validate_spd(sy.entries[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
-               for i in range(len(dims))]
-        marginal_sum = sum(kl_gaussian(blocks[i], sub[i]) for i in range(len(dims)))
-        slack = kl_gaussian(sx, sy) - marginal_sum
-
-        sy_bd = _block_diagonal(sub)
-        slack_eq = -abs(kl_gaussian(sx, sy_bd) - marginal_sum)
-        return slack, slack_eq
+        sub = [_certify(sy[:, a:b, a:b])[1] for a, b in zip(offsets[:-1], offsets[1:])]
+        marginal_sum = sum(_kl(block, s) for block, s in zip(blocks, sub))
+        slack = _kl(lx, ly) - marginal_sum
+        slack_eq = -np.abs(_kl(lx, _block_stack(sub)) - marginal_sum)
+        return np.stack([slack, slack_eq], axis=1)
 
     settings = (f"blocks={'x'.join(str(d) for d in dims)} trials={trials} "
                 f"condition_target={condition_target:g} tol={CLOSED_FORM_TOL:g}")
-    return _campaign("p2", trials, master_seed, CLOSED_FORM_TOL, settings, trial)
+    return _campaign("p2", trials, master_seed, CLOSED_FORM_TOL, settings, total, chunk)
 
 
 def check_prop1(trials: int, dim: int, master_seed: int, n_samples: int) -> PropertyReport:

@@ -4,8 +4,10 @@ Covariance matrices enter as raw arrays and get certified by
 :func:`validate_spd`, which keeps the Cholesky factor it computes: every
 consumer reads that one factor.  Explicit matrix inversion is never used;
 every application of an inverse goes through triangular solves against the
-factor (scipy's ``solve_triangular``, imported here for the whole package),
-which is the numerically robust route for ill-conditioned input.
+factor (scipy's ``solve_triangular``, or the LAPACK ``dtrtrs`` it calls),
+which is the numerically robust route for ill-conditioned input.  The kernels
+take (T, m, m) stacks, so a campaign certifies a chunk of trials per LAPACK
+call; the public functions are stacks of one through them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular  # noqa: F401  (re-exported to divergence, estimators)
+from scipy.linalg import solve_triangular  # noqa: F401  (re-exported to estimators)
 
 from .errors import (
     AsymmetryExceedsTolerance,
@@ -66,10 +68,7 @@ class DiagSpectrum:
         v = np.atleast_1d(np.array(variances, dtype=float))  # a fresh copy, frozen below
         if v.ndim != 1 or v.size == 0:
             raise NonPositiveVariance("variance spectrum must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-            raise NonPositiveVariance(
-                f"all variances must be finite and > 0, got min {v.min()!r}"
-            )
+        _check_variances(v)
         v.flags.writeable = False
         return cls(dim=v.size, variances=v)
 
@@ -81,17 +80,31 @@ class DiagSpectrum:
         """
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds supported maximum {MAX_DIM}")
-        return _certified(np.diag(self.variances), np.diag(np.sqrt(self.variances)))
+        return _certified(np.diag(self.variances), _diag_lower(self.variances))
+
+
+def _check_variances(v: np.ndarray) -> None:
+    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+        raise NonPositiveVariance(f"all variances must be finite and > 0, got min {v.min()!r}")
+
+
+def _diag_lower(v: np.ndarray) -> np.ndarray:
+    # Factors of diagonal covariances, one checked spectrum per row of v.
+    _check_variances(v)
+    out = np.zeros(v.shape + v.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = np.sqrt(v)  # a writable view of the diagonals
+    return out
 
 
 def validate_spd(raw) -> SpdMatrix:
     """Certify a raw square array as symmetric positive definite.
 
     Asymmetry within ``ASYMMETRY_TOL`` (relative, with an absolute floor of 1)
-    is averaged away as ``(raw + raw.T) / 2``; larger asymmetry is an error.
-    Positive definiteness is decided by a Cholesky factorization, which the
-    result keeps: LAPACK fails on any pivot that is not positive, so a
-    returned factor has a positive diagonal and a finite log-determinant.
+    is averaged away as ``(raw + raw.T) / 2``, halving first where the sum
+    overflows; larger asymmetry is an error.  Positive definiteness is decided
+    by a Cholesky factorization, which the result keeps: LAPACK fails on any
+    pivot that is not positive, so a returned factor has a positive diagonal
+    and a finite log-determinant.
 
     Raises
     ------
@@ -105,25 +118,32 @@ def validate_spd(raw) -> SpdMatrix:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
-    dim = arr.shape[0]
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+    sym, lower = _certify(arr[None])
+    return _certified(sym[0], lower[0])
+
+
+def _certify(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # validate_spd over a (T, m, m) stack: the symmetrized stack and its factors.
+    if arr.shape[-1] > MAX_DIM:
+        raise ValueError(f"dimension {arr.shape[-1]} exceeds supported maximum {MAX_DIM}")
     if not np.all(np.isfinite(arr)):
         raise NotPositiveDefinite("matrix has non-finite entries")
 
-    # One expression, so no (m, m) temporary outlives it.
-    worst = float((np.abs(arr - arr.T) / np.maximum(1.0, np.abs(arr))).max())
+    arr_t = arr.swapaxes(-1, -2)  # a view; one-expression check, so no temporary outlives it
+    worst = float((np.abs(arr - arr_t) / np.maximum(1.0, np.abs(arr))).max())
     if worst > ASYMMETRY_TOL:
         raise AsymmetryExceedsTolerance(
             f"relative asymmetry {worst:.3e} exceeds tolerance {ASYMMETRY_TOL:.1e}"
         )
 
-    sym = 0.5 * (arr + arr.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (arr + arr_t)
+    big = np.isinf(sym)  # the sum overflowed: halve first (halving all would lose subnormals)
+    sym[big] = 0.5 * arr[big] + 0.5 * arr_t[big]
     try:
-        lower = np.linalg.cholesky(sym)
+        return sym, np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
-    return _certified(sym, lower)
 
 
 def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
@@ -135,23 +155,26 @@ def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
 
 
 def _block_diagonal(blocks: list[SpdMatrix]) -> SpdMatrix:
-    # Assembled without factoring: the factor of a block-diagonal matrix is
-    # the block diagonal of the blocks' factors.
-    dim = sum(b.dim for b in blocks)
+    # No factoring: a block-diagonal matrix's factor is the block diagonal of its blocks'.
+    return _certified(_block_stack([b.entries for b in blocks]),
+                      _block_stack([b.lower for b in blocks]))
+
+
+def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
+    # (..., d_b, d_b) parts placed on the diagonal of a zero (..., D, D) stack.
+    dim = sum(p.shape[-1] for p in parts)
     if dim > MAX_DIM:
         raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
-    entries, lower = np.zeros((dim, dim)), np.zeros((dim, dim))
+    out = np.zeros(parts[0].shape[:-2] + (dim, dim))
     start = 0
-    for b in blocks:
-        block = slice(start, start + b.dim)
-        entries[block, block] = b.entries
-        lower[block, block] = b.lower
-        start += b.dim
-    return _certified(entries, lower)
+    for p in parts:
+        out[..., start:start + p.shape[-1], start:start + p.shape[-1]] = p
+        start += p.shape[-1]
+    return out
 
 
-def _random_symmetric(dim: int, seed: int, condition_target: float) -> np.ndarray:
-    # The exactly symmetric draw behind random_spd, before certification.
+def _random_symmetric(dim: int, seeds: list[int], condition_target: float) -> np.ndarray:
+    # random_spd's exactly symmetric draws before certification, one per seed.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > MAX_DIM:
@@ -159,15 +182,14 @@ def _random_symmetric(dim: int, seed: int, condition_target: float) -> np.ndarra
     if condition_target < 1.0:
         raise ValueError(f"condition_target must be >= 1, got {condition_target}")
 
-    rng = np.random.default_rng(seed)
     half_log = 0.5 * math.log(condition_target)
-    eigs = np.exp(rng.uniform(-half_log, half_log, size=dim))
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    eigs = np.exp([rng.uniform(-half_log, half_log, size=dim) for rng in rngs])
+    q, r = np.linalg.qr(np.array([rng.standard_normal((dim, dim)) for rng in rngs]))
     # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
-    q = q * np.sign(np.diag(r))
-    a = (q * eigs) @ q.T
-    return 0.5 * (a + a.T)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
@@ -178,7 +200,7 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
     Haar-random orthogonal matrix, so ill-conditioning is exercised evenly in
     log space.  Deterministic in ``(dim, seed, condition_target)``.
     """
-    return validate_spd(_random_symmetric(dim, seed, condition_target))
+    return validate_spd(_random_symmetric(dim, [seed], condition_target)[0])
 
 
 def read_matrix_csv(path) -> np.ndarray:

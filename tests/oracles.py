@@ -2,13 +2,20 @@
 
 Everything here evaluates definitions directly (quadrature of densities,
 hand-rolled 2x2 determinants, LU log-determinants) and deliberately shares
-no code with the package under test.
+no code with the package under test.  The exceptions are the per-trial
+campaign references at the end: they draw their instances through the
+package's single-matrix public API, trial by trial, as the reference for
+the chunked campaigns.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
+
+from gausskl import derive_seed, random_diag_spectrum, random_spd, validate_spd
+from gausskl.linalg import _block_diagonal
 
 
 def normal_log_pdf(u: float, var: float) -> float:
@@ -60,3 +67,85 @@ def excess_series(u: float) -> float:
     """u - ln(1 + u) by its alternating Taylor series, for |u| <= 2**-10."""
     assert abs(u) <= 2.0 ** -10
     return math.fsum((-u) ** n / n for n in range(2, 40))
+
+
+def excess_terms(u, log_ratio):
+    """u - ln(1 + u) elementwise: log1p(u) where |u| < 0.5, else log_ratio."""
+    return u - np.where(np.abs(u) < 0.5, np.log1p(u), log_ratio)
+
+
+def diagonal_sum_reference(vx, vy) -> float:
+    """0.5 * sum_i excess(vy_i / vx_i - 1), added left to right in Python."""
+    vx, vy = np.asarray(vx, dtype=float), np.asarray(vy, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = 0.5 * excess_terms((vy - vx) / vx, np.log(vy) - np.log(vx))
+    return sum(terms.tolist())
+
+
+def kl_factors_reference(lx, ly) -> float:
+    """KL(y || x) from Cholesky factors by the single-matrix formula.
+
+    The strict lower part of M = Lx^-1 Ly from one scipy ``solve_triangular``
+    of the column-normalized factors, its squares summed by one dot product in
+    the column-major order of the Fortran-ordered solution, and the diagonal
+    excess terms summed by ``np.sum``.  A stacked kernel must reproduce it
+    bit for bit.
+    """
+    dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
+    n = solve_triangular(lx / dx, ly / dy, lower=True, unit_diagonal=True, check_finite=False)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n *= dy
+        n /= dx[:, None]
+        u = (dy - dx) / dx * (dy / dx + 1.0)
+        terms = excess_terms(u, 2.0 * (np.log(dy) - np.log(dx)))
+    np.fill_diagonal(n, 0.0)
+    off = n.ravel("K")
+    return 0.5 * (float(off @ off) + float(terms.sum()))
+
+
+def p3_trial(dim: int, t_seed: int, condition_target: float) -> tuple:
+    """One check_prop3 trial, drawn and scored through the single-matrix API."""
+    lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
+    sy = random_spd(dim, derive_seed(t_seed, 1), condition_target)
+    sx = lx.as_matrix()
+
+    slack = (kl_factors_reference(sx.lower, sy.lower)
+             - diagonal_sum_reference(lx.variances, np.diag(sy.entries)))
+
+    sy_diag = sy.diagonal().as_matrix()
+    slack_eq = -abs(kl_factors_reference(sx.lower, sy_diag.lower)
+                    - diagonal_sum_reference(lx.variances, np.diag(sy_diag.entries)))
+    return slack, slack_eq
+
+
+def p2_trial(dims: list, t_seed: int, condition_target: float) -> tuple:
+    """One check_prop2 trial, drawn and scored through the single-matrix API."""
+    offsets = np.cumsum([0] + dims)
+    blocks = [random_spd(d, derive_seed(t_seed, i), condition_target)
+              for i, d in enumerate(dims)]
+    sx = _block_diagonal(blocks)
+    sy = random_spd(sum(dims), derive_seed(t_seed, len(dims)), condition_target)
+
+    sub = [validate_spd(sy.entries[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
+           for i in range(len(dims))]
+    marginal_sum = sum(kl_factors_reference(blocks[i].lower, sub[i].lower)
+                       for i in range(len(dims)))
+    slack = kl_factors_reference(sx.lower, sy.lower) - marginal_sum
+
+    sy_bd = _block_diagonal(sub)
+    slack_eq = -abs(kl_factors_reference(sx.lower, sy_bd.lower) - marginal_sum)
+    return slack, slack_eq
+
+
+def fold_slacks(rows, tol: float) -> tuple:
+    """(violations, worst margin) of per-trial rows of slacks, in trial order.
+
+    A trial violates when any slack is below -tol (a NaN slack never does);
+    the worst margin is Python's min over the slacks in trial order, so a NaN
+    never becomes worst and the first of two equal zeros stays.
+    """
+    violations, worst = 0, math.inf
+    for slacks in rows:
+        violations += any(s < -tol for s in slacks)
+        worst = min(worst, *slacks)
+    return violations, worst

@@ -1,0 +1,46 @@
+"""Print the 37-report set: the campaign gate for changes that must keep reports bit-identical.
+
+Run from the repository root, once per tree, and compare the two outputs:
+
+    PYTHONPATH=src python tests/report_set.py > after.jsonl
+    diff before.jsonl after.jsonl
+
+Each line is one report as JSON, with ``worst_margin`` written by
+``float.hex`` so a changed bit shows.  The set is ``check_prop3`` at dims 1-8
+and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over seven
+block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
+(5 trials, n = 10000), all with master seed 7.  It takes a few seconds.
+pytest does not collect this file.
+"""
+
+import json
+
+from gausskl import check_c1, check_prop1, check_prop2, check_prop3
+
+MASTER_SEED = 7
+P3_DIMS = range(1, 9)
+P3_CONDS = (1.0, 10.0, 1e4)
+P2_STRUCTURES = ([1, 1], [2, 2], [1, 2], [2, 3], [3, 3, 2], [1, 1, 1, 1], [4, 4])
+MC_DIMS = (1, 2, 3)
+
+
+def reports():
+    for dim in P3_DIMS:
+        for cond in P3_CONDS:
+            yield check_prop3(200, dim, MASTER_SEED, cond)
+    for dims in P2_STRUCTURES:
+        yield check_prop2(dims, 100, MASTER_SEED)
+    for check in (check_prop1, check_c1):
+        for dim in MC_DIMS:
+            yield check(5, dim, MASTER_SEED, 10_000)
+
+
+def main() -> None:
+    for report in reports():
+        line = report.as_dict()
+        line["worst_margin"] = report.worst_margin.hex()
+        print(json.dumps(line))
+
+
+if __name__ == "__main__":
+    main()

@@ -20,9 +20,11 @@ from gausskl import (
     random_spd,
     validate_spd,
 )
+from gausskl import divergence
 from gausskl.harness import CLOSED_FORM_TOL, derive_seed
 
-from oracles import det2, entropy_quad, excess_series, kl_scalar_quad, total_correlation
+from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
+                     kl_factors_reference, kl_scalar_quad, total_correlation)
 
 
 def spectrum(*variances):
@@ -320,6 +322,50 @@ class TestKlGapDiagonal:
             assert rep.gap >= 0.0
             assert abs(rep.gap - total_correlation(sy.entries)) <= CLOSED_FORM_TOL
             assert kl_gap_diagonal(lx, validate_spd(np.diag(np.diag(sy.entries)))).gap == 0.0
+
+
+class TestStackedKernels:
+    # The (T, m, m) kernels behind kl_gaussian and diagonal_lower_bound give
+    # every slice the bits of the single-matrix call and of the single-matrix
+    # reference formula (tests/oracles.py), which sums M's squares in
+    # column-major order and the diagonal terms left to right.
+    @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)] + [(64, 3), (512, 2)])
+    def test_stack_equals_single_matrix_calls(self, m, t):
+        sx = [random_spd(m, derive_seed(m, i), 1e4) for i in range(t)]
+        sy = [random_spd(m, derive_seed(m, t + i), 1e4) for i in range(t)]
+        lx = [random_diag_spectrum(m, derive_seed(m, 2 * t + i)) for i in range(t)]
+        for ref in (sx, [d.as_matrix() for d in lx]):
+            stacked = divergence._kl(np.stack([a.lower for a in ref]),
+                                     np.stack([b.lower for b in sy]))
+            assert [v.hex() for v in stacked.tolist()] == [
+                kl_gaussian(a, b).hex() for a, b in zip(ref, sy)] == [
+                kl_factors_reference(a.lower, b.lower).hex() for a, b in zip(ref, sy)]
+        sums = divergence._diagonal_sum(np.stack([d.variances for d in lx]),
+                                        np.stack([np.diag(b.entries) for b in sy]))
+        assert [v.hex() for v in sums.tolist()] == [
+            diagonal_lower_bound(d, b).hex() for d, b in zip(lx, sy)] == [
+            diagonal_sum_reference(d.variances, np.diag(b.entries)).hex() for d, b in zip(lx, sy)]
+
+    def test_extreme_variance_ratios_as_stacks(self):
+        # TestKlGaussian::test_extreme_variance_ratios, one stack per dimension:
+        # an overflowing pivot ratio gives +inf in its own slice, with no
+        # warning and no NaN, and leaves the other slices alone.
+        pairs = {1: [([1e-320], [1e300]), ([1.0], [1e-40])],
+                 2: [([1e-300] * 2, [1e300] * 2), ([1e-320, 1.0], [1e300, 1.0]),
+                     ([1.0, 1e-320], [1e300, 1.0]), ([8e307, 5e-324], [8e307, 5e-324])]}
+        expected = {1: [math.inf, 0.5 * (1e-40 - math.log(1e-40) - 1.0)],
+                    2: [math.inf, math.inf, math.inf, 0.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m, dims in pairs.items():
+                lx = np.stack([validate_spd(np.diag(vx)).lower for vx, _ in dims])
+                ly = np.stack([validate_spd(np.diag(vy)).lower for _, vy in dims])
+                values = divergence._kl(lx, ly)
+                assert not np.any(np.isnan(values))
+                assert values.tolist() == pytest.approx(expected[m], rel=1e-15)
+                assert values.tolist() == [kl_gaussian(validate_spd(np.diag(vx)),
+                                                       validate_spd(np.diag(vy)))
+                                           for vx, vy in dims]
 
 
 class TestGaussianEntropy:

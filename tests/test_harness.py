@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from gausskl import McEstimate, harness
 from gausskl import (
     check_c1,
@@ -117,9 +118,8 @@ class TestViolationCounting:
     def test_shifted_bound_violates_every_p3_trial(self, monkeypatch):
         # Raising the bound by 1e-9 pushes every equality-case slack to about
         # -1e-9, ten times past the tolerance.
-        real = harness.diagonal_lower_bound
-        monkeypatch.setattr(harness, "diagonal_lower_bound",
-                            lambda lx, sy: real(lx, sy) + 1e-9)
+        real = harness._diagonal_sum
+        monkeypatch.setattr(harness, "_diagonal_sum", lambda vx, vy: real(vx, vy) + 1e-9)
         report = check_prop3(40, 3, master_seed=2, condition_target=100.0)
         assert report.violations == report.trials == 40
         assert report.worst_margin == pytest.approx(-1e-9, abs=1e-11)
@@ -134,9 +134,67 @@ class TestViolationCounting:
         assert report.worst_margin <= -1.0
 
     def test_nan_slack_does_not_hide_a_violation(self):
-        report = harness._campaign("p3", 3, 0, 1e-10, "test", lambda t_seed: (math.nan, -1.0))
+        report = harness._campaign("p3", 3, 0, 1e-10, "test", 1,
+                                   lambda seeds: [(math.nan, -1.0)] * len(seeds))
         assert report.violations == 3
         assert report.worst_margin == -1.0
+
+
+def _bits(report):
+    return (report.trials, report.violations, report.worst_margin.hex(), report.config_digest)
+
+
+def _hex(rows):
+    return [tuple(float(s).hex() for s in row) for row in rows]
+
+
+class TestChunkedCampaigns:
+    # The chunked p3/p2 campaigns against their trial-by-trial bodies
+    # (tests/oracles.py): every trial's slacks, and the report folded from
+    # them by the same rule, agree bit for bit, whatever the chunk size.
+    @pytest.fixture
+    def chunk_rows(self, monkeypatch):
+        # Records the rows of slacks each campaign's chunk function returns.
+        rows, real = [], harness._campaign
+
+        def recording(*args):
+            *head, chunk = args
+
+            def recorded(seeds):
+                out = chunk(seeds)
+                rows.extend(np.asarray(out, dtype=float).tolist())
+                return out
+
+            return real(*head, recorded)
+
+        monkeypatch.setattr(harness, "_campaign", recording)
+        return rows
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    @pytest.mark.parametrize("cond", [1.0, 1e4])
+    def test_p3_matches_per_trial_oracle(self, chunk_rows, dim, cond):
+        report = check_prop3(60, dim, 17, cond)
+        expected = [oracles.p3_trial(dim, derive_seed(17, t), cond) for t in range(60)]
+        assert _hex(chunk_rows) == _hex(expected)
+        violations, worst = oracles.fold_slacks(expected, harness.CLOSED_FORM_TOL)
+        assert (report.violations, report.worst_margin.hex()) == (violations, worst.hex())
+
+    @pytest.mark.parametrize("dims", [[1, 1], [2, 3], [3, 3, 2], [1, 1, 1, 1]])
+    def test_p2_matches_per_trial_oracle(self, chunk_rows, dims):
+        report = check_prop2(dims, 40, 23, 1e3)
+        expected = [oracles.p2_trial(dims, derive_seed(23, t), 1e3) for t in range(40)]
+        assert _hex(chunk_rows) == _hex(expected)
+        violations, worst = oracles.fold_slacks(expected, harness.CLOSED_FORM_TOL)
+        assert (report.violations, report.worst_margin.hex()) == (violations, worst.hex())
+
+    @pytest.mark.parametrize("budget", [1, 3 * 16, 7 * 16])
+    def test_reports_do_not_depend_on_chunk_size(self, monkeypatch, budget):
+        # At dim 4, chunks of 1, 3 and 7 trials: 20 and 10 trials cross
+        # chunk boundaries, including a last chunk that is not full.
+        campaigns = (lambda: check_prop3(20, 4, 5, 1e4), lambda: check_prop2([2, 2], 10, 5))
+        whole = [_bits(c()) for c in campaigns]
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", budget)
+        assert [_bits(c()) for c in campaigns] == whole
 
 
 class TestDrawnInstances:

@@ -64,6 +64,13 @@ class TestValidateSpd:
         with pytest.raises(ValueError):
             validate_spd(np.eye(513))
 
+    def test_entries_near_overflow_certify(self):
+        # raw + raw.T overflows above about 9e307; the average must not
+        for raw in ([[1e308]], [[1.5e308, 1e307], [1e307, 1.2e308]]):
+            a = validate_spd(raw)
+            np.testing.assert_array_equal(a.entries, raw)
+            assert np.all(np.isfinite(a.lower)) and math.isfinite(a.log_det)
+
     def test_entries_are_read_only(self):
         a = validate_spd(np.eye(2))
         with pytest.raises(ValueError):
@@ -102,19 +109,21 @@ class TestFactoredOnce:
     @pytest.mark.parametrize("dims", [[2, 2], [3, 3, 2]])
     def test_prop2_trial_factors_blocks_sy_and_marginals_only(self, monkeypatch, dims):
         # Per trial: each reference block, sy and each marginal of sy.  The
-        # two block-diagonal matrices are assembled from those factors.
+        # two block-diagonal matrices are assembled from those factors.  A
+        # stacked call factors as many matrices as its leading dimension.
         calls = []
         original = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or original(a))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(len(a) if a.ndim == 3 else 1) or original(a))
         trials = 3
         check_prop2(dims, trials, 1)
-        assert len(calls) == trials * (2 * len(dims) + 1)
+        assert sum(calls) == trials * (2 * len(dims) + 1)
 
     def test_one_triangular_solve_per_divergence(self, monkeypatch):
         sx, sy = random_spd(4, 8, 100.0), random_spd(4, 9, 100.0)
         solves, chols = [], []
-        solve, chol = divergence.solve_triangular, np.linalg.cholesky
-        monkeypatch.setattr(divergence, "solve_triangular",
+        solve, chol = divergence.dtrtrs, np.linalg.cholesky
+        monkeypatch.setattr(divergence, "dtrtrs",
                             lambda *a, **k: solves.append(1) or solve(*a, **k))
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
         kl_gaussian(sx, sy)

@@ -120,8 +120,12 @@ class McEstimate:
 
 
 def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
+    # Squares summed row by row: one pass per coordinate, not one reduction per point.
     u = solve_triangular(cov.lower, points.T, lower=True, check_finite=False)
-    return np.sum(u * u, axis=0)
+    quad_form = np.square(u[0])
+    for row in u[1:]:
+        quad_form += np.square(row)
+    return quad_form
 
 
 def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> MixtureModel:

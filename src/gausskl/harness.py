@@ -10,7 +10,9 @@ puts the two-sided failure probability per check around 0.006%.
 
 Per-trial seeds derive from the master seed by a counter scheme (splitmix64)
 and reach a campaign a chunk at a time (``_CHUNK_ELEMENTS`` matrix entries at
-most).  ``p3`` and ``p2`` draw each trial from its own streams and score the
+most).  Every stream is numpy's ``default_rng`` stream of its seed.  ``p3`` and
+``p2`` build a chunk's generators with one vectorized ``SeedSequence`` hash
+(:func:`_generators`), draw each trial from its own streams and score the
 chunk as (T, m, m) stacks through the kernels of the single-matrix API, so
 reports are bit-identical whatever the chunking.
 """
@@ -54,6 +56,58 @@ def derive_seed(seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
+def _hash_constants(init: int, mult: int, uses: int) -> tuple[np.ndarray, np.ndarray]:
+    # A SeedSequence hash use xors its constant into a word, multiplies the
+    # constant by ``mult``, then the word by the new constant: the k-th use
+    # reads init * mult**k whatever the data.  (uses, 1) xor and multiply columns.
+    col = np.array([init * pow(mult, k, 1 << 32) & 0xFFFFFFFF for k in range(uses + 1)],
+                   dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+# numpy.random.bit_generator's INIT_A/MULT_A (pool mixing), INIT_B/MULT_B
+# (generate_state) and MIX_MULT_L/MIX_MULT_R, for its pool of four words.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul  # uint32 arrays wrap modulo 2**32
+    return words ^ (words >> 16)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    # Hands PCG64 the four uint64 words SeedSequence(seed).generate_state(4, uint64) gives.
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generators(seeds: list[int]) -> list[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for each 64-bit seed, hashed in one pass.
+
+    Computes numpy's ``SeedSequence`` pool mixing and ``generate_state(4,
+    uint64)`` for all seeds at once as uint32 array operations; PCG64 then
+    seeds itself from those words, so every stream is bit-identical to
+    ``default_rng``'s.  A seed of at most 64 bits is at most two entropy words.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, s.size), dtype=np.uint32)
+    pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
+    pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src in range(4):  # each word, hashed, is mixed into the other three
+        dst, uses = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _POOL_XOR[uses], _POOL_MUL[uses])
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MUL)
+    # Word pairs little-endian, as numpy views them: word 2j is the low half.
+    state = np.ascontiguousarray(((words[1::2].astype(np.uint64) << 32) | words[::2]).T)
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in state]
+
+
 @dataclass(frozen=True)
 class PropertyReport:
     """Outcome of one campaign: violation count and worst observed slack."""
@@ -75,15 +129,17 @@ def random_diag_spectrum(dim: int, seed: int,
                          lo: float = VARIANCE_RANGE[0],
                          hi: float = VARIANCE_RANGE[1]) -> DiagSpectrum:
     """Diagonal covariance with variances log-uniform in [lo, hi]."""
-    return DiagSpectrum.from_variances(_log_uniform(dim, [seed], lo, hi)[0])
+    return DiagSpectrum.from_variances(_log_uniform(dim, [np.random.default_rng(seed)], lo, hi)[0])
 
 
-def _log_uniform(dim: int, seeds: list[int], lo=VARIANCE_RANGE[0], hi=VARIANCE_RANGE[1]):
-    # random_diag_spectrum's variances, one row per seed.
+def _log_uniform(dim: int, rngs: list[np.random.Generator],
+                 lo=VARIANCE_RANGE[0], hi=VARIANCE_RANGE[1]) -> np.ndarray:
+    # random_diag_spectrum's variances, one row per generator.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    return np.exp([np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), size=dim)
-                   for seed in seeds])
+    if not 0.0 < lo <= hi < math.inf:
+        raise ValueError(f"variance range needs 0 < lo <= hi < inf, got lo={lo!r} hi={hi!r}")
+    return np.exp([rng.uniform(math.log(lo), math.log(hi), size=dim) for rng in rngs])
 
 
 def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
@@ -91,7 +147,8 @@ def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatri
     # in VARIANCE_RANGE drawn from a derived stream; certified once.
     rng = np.random.default_rng(derive_seed(seed, 0))
     scale = math.exp(rng.uniform(math.log(VARIANCE_RANGE[0]), math.log(VARIANCE_RANGE[1])))
-    sym = _random_symmetric(dim, [derive_seed(seed, 1)], condition_target)[0]
+    sym = _random_symmetric(dim, [np.random.default_rng(derive_seed(seed, 1))],
+                            condition_target)[0]
     return validate_spd(scale * sym)
 
 
@@ -153,9 +210,9 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     nothing here.
     """
     def chunk(seeds: list[int]) -> np.ndarray:
-        vx = _log_uniform(dim, [derive_seed(s, 0) for s in seeds])
-        sy, ly = _certify(_random_symmetric(dim, [derive_seed(s, 1) for s in seeds],
-                                            condition_target))
+        rngs = _generators([derive_seed(s, i) for i in (0, 1) for s in seeds])
+        vx = _log_uniform(dim, rngs[:len(seeds)])
+        sy, ly = _certify(_random_symmetric(dim, rngs[len(seeds):], condition_target))
         vy = np.diagonal(sy, axis1=1, axis2=2)
         lx = _diag_lower(vx)
         bound = _diagonal_sum(vx, vy)  # also the bound for sy's diagonal
@@ -185,8 +242,9 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
 
     def chunk(seeds: list[int]) -> np.ndarray:
         # Certified (entries, factor) stacks of the reference blocks, then of sy.
-        draws = [_certify(_random_symmetric(d, [derive_seed(s, i) for s in seeds],
-                                            condition_target))
+        n = len(seeds)
+        rngs = _generators([derive_seed(s, i) for i in range(len(dims) + 1) for s in seeds])
+        draws = [_certify(_random_symmetric(d, rngs[i * n:(i + 1) * n], condition_target))
                  for i, d in enumerate(dims + [total])]
         blocks, (sy, ly) = [b[1] for b in draws[:-1]], draws[-1]
         lx = _block_stack(blocks)

@@ -173,17 +173,17 @@ def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _random_symmetric(dim: int, seeds: list[int], condition_target: float) -> np.ndarray:
-    # random_spd's exactly symmetric draws before certification, one per seed.
+def _random_symmetric(dim: int, rngs: list[np.random.Generator],
+                      condition_target: float) -> np.ndarray:
+    # random_spd's exactly symmetric draws before certification, one per generator.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} exceeds supported maximum {MAX_DIM}")
-    if condition_target < 1.0:
-        raise ValueError(f"condition_target must be >= 1, got {condition_target}")
+    if not 1.0 <= condition_target < math.inf:  # also rejects NaN
+        raise ValueError(f"condition_target must be finite and >= 1, got {condition_target}")
 
     half_log = 0.5 * math.log(condition_target)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     eigs = np.exp([rng.uniform(-half_log, half_log, size=dim) for rng in rngs])
     q, r = np.linalg.qr(np.array([rng.standard_normal((dim, dim)) for rng in rngs]))
     # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
@@ -200,7 +200,8 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
     Haar-random orthogonal matrix, so ill-conditioning is exercised evenly in
     log space.  Deterministic in ``(dim, seed, condition_target)``.
     """
-    return validate_spd(_random_symmetric(dim, [seed], condition_target)[0])
+    return validate_spd(_random_symmetric(dim, [np.random.default_rng(seed)],
+                                          condition_target)[0])
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Print the 37-report set: the campaign gate for changes that must keep reports bit-identical.
 
-Run from the repository root, once per tree, and compare the two outputs:
+Run from the repository root: once on the reference tree to save its
+output, then with ``--against`` on the changed tree, which prints each
+differing report (``-`` saved, ``+`` now) and exits 1 if any differs:
 
-    PYTHONPATH=src python tests/report_set.py > after.jsonl
-    diff before.jsonl after.jsonl
+    PYTHONPATH=src python tests/report_set.py > before.jsonl
+    PYTHONPATH=src python tests/report_set.py --against before.jsonl
 
 Each line is one report as JSON, with ``worst_margin`` written by
 ``float.hex`` so a changed bit shows.  The set is ``check_prop3`` at dims 1-8
@@ -13,7 +15,10 @@ block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
 pytest does not collect this file.
 """
 
+import argparse
 import json
+import sys
+from itertools import zip_longest
 
 from gausskl import check_c1, check_prop1, check_prop2, check_prop3
 
@@ -35,12 +40,32 @@ def reports():
             yield check(5, dim, MASTER_SEED, 10_000)
 
 
-def main() -> None:
+def lines():
     for report in reports():
         line = report.as_dict()
         line["worst_margin"] = report.worst_margin.hex()
-        print(json.dumps(line))
+        yield json.dumps(line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare with a saved output instead of printing the set")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in lines():
+            print(line)
+        return 0
+    with open(args.against, encoding="utf-8") as fh:
+        saved = fh.read().splitlines()
+    differing = number = 0
+    for number, (old, new) in enumerate(zip_longest(saved, lines(), fillvalue="(none)"), 1):
+        if old != new:
+            differing += 1
+            print(f"report {number}:\n- {old}\n+ {new}")
+    print(f"{differing} of {number} reports differ from {args.against}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

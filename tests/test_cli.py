@@ -165,6 +165,15 @@ class TestGenCommand:
         assert "ValueError" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cond", ["nan", "inf"])
+    def test_non_finite_condition_target_exits_2(self, tmp_path, capsys, cond):
+        out = tmp_path / "a.csv"
+        code, _, err = run(capsys, "gen", "--dim", "3", "--seed", "1", "--cond", cond,
+                           "--out", str(out))
+        assert code == 2
+        assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_prop_report(self, capsys):
@@ -241,6 +250,15 @@ class TestVerifyCommand:
                            "--dim", "0", "--seed", "1")
         assert code == 2
         assert "ValueError: dim must be >= 1, got 0" in err
+
+    @pytest.mark.parametrize("cond", ["nan", "inf"])
+    @pytest.mark.parametrize("prop", ["p3", "p2"])
+    def test_non_finite_condition_target_exits_2(self, capsys, prop, cond):
+        code, out, err = run(capsys, "verify", "--prop", prop, "--trials", "3",
+                             "--dim", "2", "--seed", "1", "--cond", cond)
+        assert code == 2
+        assert out == ""
+        assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
 
 
 def test_numbers_round_trip_through_json(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 
 import gausskl
 from gausskl import (
@@ -22,6 +23,7 @@ from gausskl import (
     random_spd,
     validate_spd,
 )
+from gausskl.estimators import _quad_form
 from gausskl.harness import derive_seed
 
 from oracles import normal_log_pdf
@@ -47,6 +49,20 @@ class TestLogDensity:
         points = np.random.default_rng(3).standard_normal((20, 2))
         np.testing.assert_allclose(degenerate.log_density_batch(points),
                                    gaussian.log_density_batch(points), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 12])
+    def test_quadratic_form_matches_reduction(self, dim):
+        # Rows accumulated one by one are np.sum's own order up to 7 terms; from
+        # 8 on numpy sums pairwise, so the two differ by rounding at most.
+        cov = random_spd(dim, dim, 100.0)
+        points = np.random.default_rng(dim).standard_normal((5000, dim))
+        u = solve_triangular(cov.lower, points.T, lower=True)
+        reference = np.sum(u * u, axis=0)
+        if dim <= 7:
+            np.testing.assert_array_equal(_quad_form(cov, points), reference)
+        else:
+            np.testing.assert_allclose(_quad_form(cov, points), reference,
+                                       rtol=2 * dim * np.finfo(float).eps, atol=0)
 
     def test_mixture_far_tail_is_finite(self):
         m = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)

@@ -35,6 +35,42 @@ class TestDeriveSeed:
         assert 0 <= derive_seed(-12345, 3) < 2 ** 64
 
 
+class TestGenerators:
+    # Campaign chunks hash their seeds in one pass; every generator must be
+    # np.random.default_rng(seed), state and draws alike.
+    @staticmethod
+    def _assert_default_rng(seeds):
+        for seed, rng in zip(seeds, harness._generators(seeds), strict=True):
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    def test_word_boundary_seeds(self):
+        self._assert_default_rng([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+
+    def test_derived_seeds(self):
+        self._assert_default_rng([derive_seed(m, i) for m in (1, -7, 2 ** 40) for i in range(400)])
+
+    def test_first_draws_match(self):
+        seeds = [derive_seed(3, i) for i in range(5)] + [2 ** 64 - 1]
+        for seed, rng in zip(seeds, harness._generators(seeds)):
+            ref = np.random.default_rng(seed)
+            np.testing.assert_array_equal(rng.uniform(-2.0, 2.0, 7), ref.uniform(-2.0, 2.0, 7))
+            np.testing.assert_array_equal(rng.standard_normal((3, 3)), ref.standard_normal((3, 3)))
+
+    def test_empty(self):
+        assert harness._generators([]) == []
+
+
+class TestRandomDiagSpectrum:
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
+                                        (math.nan, 1.0), (1.0, math.nan), (2.0, 1.0)])
+    def test_bad_range_is_a_value_error(self, lo, hi):
+        with pytest.raises(ValueError, match="0 < lo <= hi < inf"):
+            random_diag_spectrum(3, 1, lo, hi)
+
+    def test_degenerate_range(self):
+        np.testing.assert_array_equal(random_diag_spectrum(4, 1, 2.0, 2.0).variances, 2.0)
+
+
 class TestCheckProp3:
     def test_campaign_clean(self):
         report = check_prop3(10_000, 4, master_seed=1, condition_target=100.0)

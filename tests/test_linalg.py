@@ -203,6 +203,19 @@ class TestRandomSpd:
         with pytest.raises(ValueError):
             random_spd(2, 1, 0.5)
 
+    @pytest.mark.parametrize("cond", [math.nan, math.inf])
+    def test_non_finite_condition_target(self, cond):
+        with pytest.raises(ValueError, match=f"must be finite and >= 1, got {cond}"):
+            random_spd(2, 1, cond)
+
+    def test_seed_range_is_numpy_s(self):
+        # Seeds reach np.random.default_rng as given: above 2**64 is accepted,
+        # a negative seed is a ValueError.
+        a = random_spd(3, 2 ** 64 + 5, 10.0)
+        np.testing.assert_array_equal(a.entries, random_spd(3, 2 ** 64 + 5, 10.0).entries)
+        with pytest.raises(ValueError):
+            random_spd(3, -1, 10.0)
+
 
 class TestDiagSpectrum:
     def test_positive_variances_required(self):

@@ -31,7 +31,7 @@ from .harness import (
     check_prop3,
     random_diag_spectrum,
 )
-from .linalg import random_spd, read_matrix_csv, validate_spd, write_matrix_csv
+from .linalg import _check_condition, random_spd, read_matrix_csv, validate_spd, write_matrix_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +116,8 @@ def _p2_blocks(args) -> list:
 
 def _cmd_verify(args) -> int:
     props = ("p1", "p2", "p3", "c1") if args.prop == "all" else (args.prop,)
-    # The p2 block list is resolved before any campaign runs, so a bad one fails fast.
+    # --cond and the p2 block list are resolved before any campaign runs, so bad ones fail fast.
+    _check_condition(args.cond)
     blocks = _p2_blocks(args) if "p2" in props else None
     campaigns = {
         "p1": lambda: check_prop1(args.trials, args.dim, args.seed, args.samples),

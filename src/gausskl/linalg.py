@@ -180,8 +180,7 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
         raise ValueError(f"dim must be >= 1, got {dim}")
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} exceeds supported maximum {MAX_DIM}")
-    if not 1.0 <= condition_target < math.inf:  # also rejects NaN
-        raise ValueError(f"condition_target must be finite and >= 1, got {condition_target}")
+    _check_condition(condition_target)
 
     half_log = 0.5 * math.log(condition_target)
     eigs = np.exp([rng.uniform(-half_log, half_log, size=dim) for rng in rngs])
@@ -190,6 +189,11 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _check_condition(condition_target: float) -> None:
+    if not 1.0 <= condition_target < math.inf:  # also rejects NaN
+        raise ValueError(f"condition_target must be finite and >= 1, got {condition_target}")
 
 
 def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:

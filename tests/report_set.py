@@ -2,7 +2,9 @@
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
-differing report (``-`` saved, ``+`` now) and exits 1 if any differs:
+differing report (``-`` saved, ``+`` now) with the fields that differ and
+|Δ worst_margin|, then a summary line naming every differing proposition
+and field with the largest |Δ worst_margin|, and exits 1 if any differs:
 
     PYTHONPATH=src python tests/report_set.py > before.jsonl
     PYTHONPATH=src python tests/report_set.py --against before.jsonl
@@ -17,6 +19,7 @@ pytest does not collect this file.
 
 import argparse
 import json
+import math
 import sys
 from itertools import zip_longest
 
@@ -59,12 +62,43 @@ def main(argv=None) -> int:
     with open(args.against, encoding="utf-8") as fh:
         saved = fh.read().splitlines()
     differing = number = 0
+    props, fields, worst_delta = set(), set(), 0.0
     for number, (old, new) in enumerate(zip_longest(saved, lines(), fillvalue="(none)"), 1):
         if old != new:
             differing += 1
-            print(f"report {number}:\n- {old}\n+ {new}")
-    print(f"{differing} of {number} reports differ from {args.against}", file=sys.stderr)
+            changed, delta = _compare(old, new)
+            props.update(_field(line, "proposition") for line in (old, new))
+            fields.update(changed)
+            worst_delta = max(worst_delta, delta)
+            print(f"report {number}: {', '.join(changed)} differ; "
+                  f"|delta worst_margin| = {delta:.3g}\n- {old}\n+ {new}")
+    summary = f"{differing} of {number} reports differ from {args.against}"
+    if differing:
+        summary += (f" (propositions {', '.join(sorted(props - {None}))}; fields "
+                    f"{', '.join(sorted(fields))}; max |delta worst_margin| {worst_delta:.3g})")
+    print(summary, file=sys.stderr)
     return 1 if differing else 0
+
+
+def _field(line: str, key: str):
+    try:
+        return json.loads(line).get(key)
+    except json.JSONDecodeError:  # "(none)" past the end of the shorter set
+        return None
+
+
+def _compare(old: str, new: str) -> tuple:
+    # The differing field names, and |new - old| of worst_margin (inf if either is missing).
+    try:
+        a, b = json.loads(old), json.loads(new)
+    except json.JSONDecodeError:
+        return ["all fields"], math.inf
+    changed = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    try:
+        delta = abs(float.fromhex(b["worst_margin"]) - float.fromhex(a["worst_margin"]))
+    except KeyError:
+        delta = math.inf
+    return changed, delta
 
 
 if __name__ == "__main__":

@@ -252,10 +252,26 @@ class TestVerifyCommand:
         assert "ValueError: dim must be >= 1, got 0" in err
 
     @pytest.mark.parametrize("cond", ["nan", "inf"])
-    @pytest.mark.parametrize("prop", ["p3", "p2"])
+    @pytest.mark.parametrize("prop", ["p3", "p2", "p1", "c1"])
     def test_non_finite_condition_target_exits_2(self, capsys, prop, cond):
         code, out, err = run(capsys, "verify", "--prop", prop, "--trials", "3",
                              "--dim", "2", "--seed", "1", "--cond", cond)
+        assert code == 2
+        assert out == ""
+        assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
+
+    @pytest.mark.parametrize("cond", ["nan", "inf", "0.5"])
+    def test_all_rejects_bad_condition_target_before_any_campaign(self, capsys, monkeypatch,
+                                                                  cond):
+        import gausskl.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a campaign ran before --cond was checked")
+
+        for name in ("check_prop1", "check_prop2", "check_prop3", "check_c1"):
+            monkeypatch.setattr(cli_mod, name, never)
+        code, out, err = run(capsys, "verify", "--prop", "all", "--trials", "1",
+                             "--cond", cond)
         assert code == 2
         assert out == ""
         assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err

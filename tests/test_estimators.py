@@ -23,6 +23,8 @@ from gausskl import (
     random_spd,
     validate_spd,
 )
+from gausskl import estimators
+from gausskl.divergence import LN_2PI
 from gausskl.estimators import _quad_form
 from gausskl.harness import derive_seed
 
@@ -67,6 +69,35 @@ class TestLogDensity:
     def test_mixture_far_tail_is_finite(self):
         m = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)
         assert math.isfinite(m.log_density_batch(np.array([[60.0]]))[0])
+
+    def test_mixture_infinite_coordinate_has_zero_density(self):
+        # Both components' log densities are -inf there, so their difference
+        # is NaN; the log-sum must still be -inf, as np.logaddexp gives.
+        one = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)
+        two = build_matched_mixture(random_spd(2, 3, 10.0), 0.3, 0.7)
+        np.testing.assert_array_equal(
+            one.log_density_batch(np.array([[np.inf], [-np.inf]])), [-np.inf, -np.inf])
+        np.testing.assert_array_equal(
+            two.log_density_batch(np.array([[np.inf, 0.0], [0.0, -np.inf]])), [-np.inf, -np.inf])
+
+    @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("spread", [1e-6, 0.3, 0.9, 1 - 1e-6])
+    def test_mixture_log_sum_matches_logaddexp(self, w, spread):
+        # Quadratic forms from 0 to 1e6 sweep the component gap a - b through
+        # zero and out to where one component underflows.  Both forms add
+        # log1p(exp(-|a - b|)) to max(a, b), so ulps are counted at the larger
+        # of the result and its two terms: where the sum crosses zero, its own
+        # ulp is below the rounding of either term.
+        cov = random_spd(3, 11, 10.0)
+        m = build_matched_mixture(cov, w, spread)
+        q = np.concatenate([[0.0], np.geomspace(1e-6, 1e6, 20_000)])
+        base = 3 * LN_2PI + cov.log_det
+        a = math.log(w) - 0.5 * (base + 3 * math.log(m.scale_one) + q / m.scale_one)
+        b = math.log1p(-w) - 0.5 * (base + 3 * math.log(m.scale_two) + q / m.scale_two)
+        reference = np.logaddexp(a, b)
+        hi = np.maximum(a, b)
+        scale = np.maximum.reduce([np.abs(reference), np.abs(hi), reference - hi])
+        assert np.all(np.abs(m._log_density(q) - reference) <= 4 * np.spacing(scale))
 
 
 def integral(model) -> float:
@@ -277,3 +308,54 @@ class TestMcKl:
             mc_kl(std_normal(), std_normal(), 99, seed=1)
         with pytest.raises(DimensionMismatch):
             mc_kl(std_normal(1), std_normal(2), 1000, seed=1)
+
+
+def kernel_pair(kinds, dim):
+    # Models of the requested kinds on distinct random covariances.
+    def model(kind, index):
+        cov = random_spd(dim, derive_seed(dim, index), 20.0)
+        return (GaussianModel(cov) if kind == "gaussian"
+                else build_matched_mixture(cov, 0.3 + 0.2 * index, 0.6))
+    return model(kinds[0], 0), model(kinds[1], 1)
+
+
+def materialized(py, px, n, seed):
+    # The definition: both densities evaluated at the sampled points.
+    draws = py.sample(n, seed)
+    log_ratio = py.log_density_batch(draws) - px.log_density_batch(draws)
+    return float(np.mean(log_ratio)), float(np.std(log_ratio, ddof=1) / math.sqrt(n))
+
+
+KINDS = [("mixture", "gaussian"), ("gaussian", "gaussian"), ("mixture", "mixture"),
+         ("gaussian", "mixture")]
+
+
+class TestWhitenedKernel:
+    # mc_kl scores py.sample's draws from their normals, block by block.
+    N = 10_007  # not a multiple of the block
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("kinds", KINDS, ids="-".join)
+    def test_matches_materialized_definition(self, kinds, dim):
+        py, px = kernel_pair(kinds, dim)
+        est = mc_kl(py, px, self.N, seed=29)
+        value, std_error = materialized(py, px, self.N, seed=29)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kinds", KINDS, ids="-".join)
+    def test_bit_identical_reruns(self, kinds):
+        py, px = kernel_pair(kinds, 3)
+        assert mc_kl(py, px, self.N, seed=5) == mc_kl(py, px, self.N, seed=5)
+
+    @pytest.mark.parametrize("block", [1, 7, N])
+    @pytest.mark.parametrize("kinds", [("mixture", "gaussian"), ("gaussian", "mixture")],
+                             ids="-".join)
+    def test_block_size_does_not_change_the_estimate(self, monkeypatch, kinds, block):
+        # Not bit for bit: BLAS may pick a different kernel for each block width.
+        py, px = kernel_pair(kinds, 3)
+        reference = mc_kl(py, px, self.N, seed=31)
+        monkeypatch.setattr(estimators, "_BLOCK", block)
+        est = mc_kl(py, px, self.N, seed=31)
+        assert est.value == pytest.approx(reference.value, rel=1e-12, abs=0)
+        assert est.std_error == pytest.approx(reference.std_error, rel=1e-12, abs=0)

@@ -6,19 +6,23 @@ from scipy.linalg import block_diag
 
 from gausskl import (
     AsymmetryExceedsTolerance,
+    GaussianModel,
     MatrixParseError,
+    MixtureModel,
     NonPositiveVariance,
     NotPositiveDefinite,
     NotSquare,
+    build_matched_mixture,
     check_prop2,
     derive_seed,
     kl_gaussian,
+    mc_kl,
     random_spd,
     read_matrix_csv,
     validate_spd,
     write_matrix_csv,
 )
-from gausskl import divergence
+from gausskl import divergence, estimators
 from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_diagonal
 
 
@@ -128,6 +132,24 @@ class TestFactoredOnce:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
         kl_gaussian(sx, sy)
         assert (len(solves), len(chols)) == (1, 0)
+
+    def test_monte_carlo_estimate_solves_once_and_forms_no_points(self, monkeypatch):
+        # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.
+        py = build_matched_mixture(random_spd(3, 4, 10.0), 0.4, 0.5)
+        px = GaussianModel(random_spd(3, 5, 10.0))
+        solves = []
+        solve = estimators.solve_triangular
+        monkeypatch.setattr(estimators, "solve_triangular",
+                            lambda *a, **k: solves.append(a[1].shape) or solve(*a, **k))
+
+        def never(*args, **kwargs):
+            raise AssertionError("mc_kl materialized its draws")
+
+        for cls in (GaussianModel, MixtureModel):
+            monkeypatch.setattr(cls, "sample", never)
+            monkeypatch.setattr(cls, "log_density_batch", never)
+        mc_kl(py, px, 20_000, seed=3)
+        assert solves == [(3, 3)]
 
 
 class TestCholesky:

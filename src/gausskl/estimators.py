@@ -128,7 +128,12 @@ class McEstimate:
 
 
 def _quad_form(cov: SpdMatrix, points: np.ndarray) -> np.ndarray:
-    return _sum_squares(solve_triangular(cov.lower, points.T, lower=True, check_finite=False))
+    q = _sum_squares(solve_triangular(cov.lower, points.T, lower=True, check_finite=False))
+    # Without a NaN coordinate, a NaN q comes from 0 * inf or inf - inf in the
+    # solve, at an infinite coordinate or an overflow: the point is infinitely far.
+    nan = np.isnan(q)
+    q[nan] = np.where(np.isnan(points[nan]).any(axis=1), np.nan, np.inf)
+    return q
 
 
 def _sum_squares(u: np.ndarray) -> np.ndarray:

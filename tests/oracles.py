@@ -63,6 +63,15 @@ def total_correlation(s) -> float:
     return -0.5 * log_det
 
 
+def kl_determinant_route(sx, sy) -> float:
+    """0.5 * [tr(Sx^-1 Sy) - ln det Sy + ln det Sx - m], solved and taken by LU (numpy)."""
+    sx, sy = np.asarray(sx, dtype=float), np.asarray(sy, dtype=float)
+    (sign_x, log_det_x), (sign_y, log_det_y) = np.linalg.slogdet(sx), np.linalg.slogdet(sy)
+    assert sign_x > 0 and sign_y > 0
+    trace = float(np.trace(np.linalg.solve(sx, sy)))
+    return 0.5 * (trace - log_det_y + log_det_x - len(sx))
+
+
 def excess_series(u: float) -> float:
     """u - ln(1 + u) by its alternating Taylor series, for |u| <= 2**-10."""
     assert abs(u) <= 2.0 ** -10
@@ -85,21 +94,25 @@ def diagonal_sum_reference(vx, vy) -> float:
 def kl_factors_reference(lx, ly) -> float:
     """KL(y || x) from Cholesky factors by the single-matrix formula.
 
-    The strict lower part of M = Lx^-1 Ly from one scipy ``solve_triangular``
-    of the column-normalized factors, its squares summed by one dot product in
-    the column-major order of the Fortran-ordered solution, and the diagonal
-    excess terms summed by ``np.sum``.  A stacked kernel must reproduce it
-    bit for bit.
+    The strict lower part of M = Lx^-1 Ly from scipy ``solve_triangular`` on
+    the column-normalized factors, 64 columns at a time: the first block
+    against all of Lx, each later block j:j+64 against the trailing Lx[j:, j:]
+    on rows j: only (M is zero above its diagonal).  Its squares are summed by
+    one dot product in column-major order, and the diagonal excess terms by
+    ``np.sum``.  A stacked kernel must reproduce it bit for bit.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
-    n = solve_triangular(lx / dx, ly / dy, lower=True, unit_diagonal=True, check_finite=False)
+    a, n = lx / dx, ly / dy
+    for j in range(0, len(a), 64):
+        n[j:, j:j + 64] = solve_triangular(a[j:, j:], n[j:, j:j + 64], lower=True,
+                                           unit_diagonal=True, check_finite=False)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         n *= dy
         n /= dx[:, None]
         u = (dy - dx) / dx * (dy / dx + 1.0)
         terms = excess_terms(u, 2.0 * (np.log(dy) - np.log(dx)))
     np.fill_diagonal(n, 0.0)
-    off = n.ravel("K")
+    off = n.ravel("F")
     return 0.5 * (float(off @ off) + float(terms.sum()))
 
 

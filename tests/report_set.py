@@ -1,20 +1,25 @@
-"""Print the 37-report set: the campaign gate for changes that must keep reports bit-identical.
+"""Print the 77-line report set: the bit-identity gate for campaign reports and kl_gaussian.
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
-differing report (``-`` saved, ``+`` now) with the fields that differ and
-|Δ worst_margin|, then a summary line naming every differing proposition
-and field with the largest |Δ worst_margin|, and exits 1 if any differs:
+differing line (``-`` saved, ``+`` now) with the fields that differ and
+|Δ| of its value (``worst_margin`` or ``kl``), then a summary line naming
+every differing proposition or kernel and field with the largest |Δ|, and
+exits 1 if any differs:
 
     PYTHONPATH=src python tests/report_set.py > before.jsonl
     PYTHONPATH=src python tests/report_set.py --against before.jsonl
 
-Each line is one report as JSON, with ``worst_margin`` written by
-``float.hex`` so a changed bit shows.  The set is ``check_prop3`` at dims 1-8
+Each line is JSON, with its value written by ``float.hex`` so a changed bit
+shows.  The first 37 lines are campaign reports: ``check_prop3`` at dims 1-8
 and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over seven
 block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
-(5 trials, n = 10000), all with master seed 7.  It takes a few seconds.
-pytest does not collect this file.
+(5 trials, n = 10000), all with master seed 7.  Campaign matrices have
+m <= 8, so the last 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
+256 and 512, across the kernel's 64-column solve blocks: four pairs per m
+drawn at condition target 100 from seeds derived from 7, each against a
+dense and a diagonal reference.  It takes a few seconds.  pytest does not
+collect this file.
 """
 
 import argparse
@@ -23,13 +28,18 @@ import math
 import sys
 from itertools import zip_longest
 
-from gausskl import check_c1, check_prop1, check_prop2, check_prop3
+from gausskl import (check_c1, check_prop1, check_prop2, check_prop3, derive_seed, kl_gaussian,
+                     random_diag_spectrum, random_spd)
 
 MASTER_SEED = 7
 P3_DIMS = range(1, 9)
 P3_CONDS = (1.0, 10.0, 1e4)
 P2_STRUCTURES = ([1, 1], [2, 2], [1, 2], [2, 3], [3, 3, 2], [1, 1, 1, 1], [4, 4])
 MC_DIMS = (1, 2, 3)
+KL_DIMS = (64, 65, 129, 256, 512)
+KL_PAIRS = 4
+KL_COND = 100.0
+VALUES = ("worst_margin", "kl")  # the hex-written value of a line
 
 
 def reports():
@@ -43,10 +53,23 @@ def reports():
             yield check(5, dim, MASTER_SEED, 10_000)
 
 
+def kl_values():
+    for dim in KL_DIMS:
+        for pair in range(KL_PAIRS):
+            sy = random_spd(dim, derive_seed(MASTER_SEED, 3 * pair), KL_COND)
+            dense = random_spd(dim, derive_seed(MASTER_SEED, 3 * pair + 1), KL_COND)
+            diagonal = random_diag_spectrum(dim, derive_seed(MASTER_SEED, 3 * pair + 2)).as_matrix()
+            for reference, sx in (("dense", dense), ("diagonal", diagonal)):
+                yield {"kernel": "kl_gaussian", "dim": dim, "pair": pair,
+                       "reference": reference, "kl": kl_gaussian(sx, sy).hex()}
+
+
 def lines():
     for report in reports():
         line = report.as_dict()
         line["worst_margin"] = report.worst_margin.hex()
+        yield json.dumps(line)
+    for line in kl_values():
         yield json.dumps(line)
 
 
@@ -62,40 +85,43 @@ def main(argv=None) -> int:
     with open(args.against, encoding="utf-8") as fh:
         saved = fh.read().splitlines()
     differing = number = 0
-    props, fields, worst_delta = set(), set(), 0.0
+    sources, fields, worst_delta = set(), set(), 0.0
     for number, (old, new) in enumerate(zip_longest(saved, lines(), fillvalue="(none)"), 1):
         if old != new:
             differing += 1
             changed, delta = _compare(old, new)
-            props.update(_field(line, "proposition") for line in (old, new))
+            sources.update(_source(line) for line in (old, new))
             fields.update(changed)
             worst_delta = max(worst_delta, delta)
-            print(f"report {number}: {', '.join(changed)} differ; "
-                  f"|delta worst_margin| = {delta:.3g}\n- {old}\n+ {new}")
-    summary = f"{differing} of {number} reports differ from {args.against}"
+            print(f"line {number}: {', '.join(changed)} differ; "
+                  f"|delta| = {delta:.3g}\n- {old}\n+ {new}")
+    summary = f"{differing} of {number} lines differ from {args.against}"
     if differing:
-        summary += (f" (propositions {', '.join(sorted(props - {None}))}; fields "
-                    f"{', '.join(sorted(fields))}; max |delta worst_margin| {worst_delta:.3g})")
+        summary += (f" (sources {', '.join(sorted(sources - {None}))}; fields "
+                    f"{', '.join(sorted(fields))}; max |delta| {worst_delta:.3g})")
     print(summary, file=sys.stderr)
     return 1 if differing else 0
 
 
-def _field(line: str, key: str):
+def _source(line: str):
+    # The proposition of a report line, or the kernel of a kernel line.
     try:
-        return json.loads(line).get(key)
+        fields = json.loads(line)
     except json.JSONDecodeError:  # "(none)" past the end of the shorter set
         return None
+    return fields.get("proposition", fields.get("kernel"))
 
 
 def _compare(old: str, new: str) -> tuple:
-    # The differing field names, and |new - old| of worst_margin (inf if either is missing).
+    # The differing field names, and |new - old| of the line's value (inf if either is missing).
     try:
         a, b = json.loads(old), json.loads(new)
     except json.JSONDecodeError:
         return ["all fields"], math.inf
     changed = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    key = next((k for k in VALUES if k in a), None)
     try:
-        delta = abs(float.fromhex(b["worst_margin"]) - float.fromhex(a["worst_margin"]))
+        delta = abs(float.fromhex(b[key]) - float.fromhex(a[key]))
     except KeyError:
         delta = math.inf
     return changed, delta

@@ -24,7 +24,8 @@ from gausskl import divergence
 from gausskl.harness import CLOSED_FORM_TOL, derive_seed
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_factors_reference, kl_scalar_quad, total_correlation)
+                     kl_determinant_route, kl_factors_reference, kl_scalar_quad,
+                     total_correlation)
 
 
 def spectrum(*variances):
@@ -129,8 +130,9 @@ class TestKlDiagonal:
 
 class TestKlGaussian:
     def test_identical_near_zero(self):
-        # exactly +0.0: the unit-diagonal solve gives M = I bit for bit
-        for dim in (*range(1, 9), 64, 512):
+        # exactly +0.0: the unit-diagonal solves give M = I bit for bit, the
+        # trailing blocks' solves too (m > 64)
+        for dim in (*range(1, 9), 64, 65, 129, 512):
             a = random_spd(dim, dim * 11, 100.0)
             for copy in (a, validate_spd(2.0 ** 300 * a.entries),
                          validate_spd(2.0 ** -300 * a.entries)):
@@ -150,6 +152,17 @@ class TestKlGaussian:
         sy = validate_spd([[1.0, 0.5], [0.5, 1.0]])
         est = mc_kl(GaussianModel(sy), GaussianModel(sx), 1_000_000, seed=2024)
         assert abs(kl_gaussian(sx, sy) - est.value) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("m", [65, 129, 200])
+    def test_solve_blocks_against_determinant_route(self, m):
+        # Across the kernel's 64-column solve blocks, against tr(Sx^-1 Sy) and
+        # LU log-determinants of the stored matrices, for a dense and a
+        # diagonal reference.
+        sy = random_spd(m, derive_seed(m, 70), 100.0)
+        for sx in (random_spd(m, derive_seed(m, 71), 100.0),
+                   random_diag_spectrum(m, derive_seed(m, 72)).as_matrix()):
+            assert kl_gaussian(sx, sy) == pytest.approx(
+                kl_determinant_route(sx.entries, sy.entries), rel=1e-10)
 
     def test_diagonal_pair_matches_scalar_sum(self):
         sx = validate_spd(np.diag([1.0, 4.0]))
@@ -329,7 +342,8 @@ class TestStackedKernels:
     # every slice the bits of the single-matrix call and of the single-matrix
     # reference formula (tests/oracles.py), which sums M's squares in
     # column-major order and the diagonal terms left to right.
-    @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)] + [(64, 3), (512, 2)])
+    @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)]
+                             + [(64, 3), (65, 2), (129, 2), (512, 2)])
     def test_stack_equals_single_matrix_calls(self, m, t):
         sx = [random_spd(m, derive_seed(m, i), 1e4) for i in range(t)]
         sy = [random_spd(m, derive_seed(m, t + i), 1e4) for i in range(t)]

@@ -72,13 +72,25 @@ class TestLogDensity:
 
     def test_mixture_infinite_coordinate_has_zero_density(self):
         # Both components' log densities are -inf there, so their difference
-        # is NaN; the log-sum must still be -inf, as np.logaddexp gives.
+        # is NaN; the log-sum must still be -inf, as np.logaddexp gives.  The
+        # factor's solve forms 0 * inf where it has a zero below the diagonal
+        # (a diagonal covariance), and inf - inf where signs cancel; the
+        # quadratic form is still +inf, and for a Gaussian too, as it is where
+        # a finite coordinate's solve overflows.  A NaN coordinate still gives NaN.
         one = build_matched_mixture(validate_spd([[1.0]]), 0.5, 0.5)
-        two = build_matched_mixture(random_spd(2, 3, 10.0), 0.3, 0.7)
         np.testing.assert_array_equal(
             one.log_density_batch(np.array([[np.inf], [-np.inf]])), [-np.inf, -np.inf])
-        np.testing.assert_array_equal(
-            two.log_density_batch(np.array([[np.inf, 0.0], [0.0, -np.inf]])), [-np.inf, -np.inf])
+        points = np.array([[np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf], [-np.inf, np.inf],
+                           [np.inf, np.nan], [1.0, 2.0]])
+        for cov in (random_spd(2, 3, 10.0), validate_spd(np.diag([2.0, 0.5]))):
+            for model in (build_matched_mixture(cov, 0.3, 0.7), GaussianModel(cov)):
+                values = model.log_density_batch(points)
+                np.testing.assert_array_equal(values[:4], [-np.inf] * 4)
+                assert math.isnan(values[4]) and math.isfinite(values[5])
+        narrow = validate_spd(np.diag([0.5, 2.0]))  # 1.5e308 / sqrt(0.5) overflows
+        for model in (build_matched_mixture(narrow, 0.3, 0.7), GaussianModel(narrow)):
+            np.testing.assert_array_equal(model.log_density_batch(np.array([[1.5e308, 0.0]])),
+                                          [-np.inf])
 
     @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("spread", [1e-6, 0.3, 0.9, 1 - 1e-6])

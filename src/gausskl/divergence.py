@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch
-from .linalg import DiagSpectrum, SpdMatrix
+from .linalg import DiagSpectrum, SpdMatrix, dtrtrs
 
 # Divergences are measured in nats (natural log) throughout; callers convert.
 Nats = float
@@ -72,8 +71,8 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     dx, dy = np.diagonal(lx, axis1=1, axis2=2), np.diagonal(ly, axis1=1, axis2=2)
     a = lx / dx[:, None, :]
     # Each nt slice is M's C-ordered transpose.  Its first b rows, M's first b
-    # columns, are solved in place as scipy's solve_triangular solves a C-ordered
-    # a (as a.T, trans=1): for m <= b that is the whole solve, one call per slice.
+    # columns, are solved in place by linalg.solve_triangular's call (a.T,
+    # trans=1) with a unit diagonal: for m <= b that is the whole solve.
     nt = np.zeros(ly.shape)
     first = np.divide(ly[:, :, :b].swapaxes(1, 2), dy[:, :b, None], out=nt[:, :b])
     for a_s, first_s in zip(a, first):

@@ -4,19 +4,25 @@ Covariance matrices enter as raw arrays and get certified by
 :func:`validate_spd`, which keeps the Cholesky factor it computes: every
 consumer reads that one factor.  Explicit matrix inversion is never used;
 every application of an inverse goes through triangular solves against the
-factor (scipy's ``solve_triangular``, or the LAPACK ``dtrtrs`` it calls),
-which is the numerically robust route for ill-conditioned input.  The kernels
-take (T, m, m) stacks, so a campaign certifies a chunk of trials per LAPACK
-call; the public functions are stacks of one through them.
+factor, LAPACK's ``dtrtrs`` (directly or through :func:`solve_triangular`),
+which is the numerically robust route for ill-conditioned input.  ``dtrtrs``
+comes from scipy's LAPACK extension, loaded on its own: importing
+``scipy.linalg`` would cost more start-up time than the rest of the package.
+The kernels take (T, m, m) stacks, so a campaign certifies a chunk of trials
+per LAPACK call; the public functions are stacks of one through them.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular  # noqa: F401  (re-exported to estimators)
+import scipy
 
 from .errors import (
     AsymmetryExceedsTolerance,
@@ -32,6 +38,41 @@ ASYMMETRY_TOL = 1e-8
 
 # Dense O(m^3) kernels; desk-scale verification does not need more.
 MAX_DIM = 512
+
+
+def _load_flapack():
+    # scipy.linalg's f2py LAPACK module, loaded from its file under a private
+    # name.  The name must end in _flapack: the extension's init symbol is
+    # PyInit__flapack.  CPython lists a single-phase extension in sys.modules
+    # as it loads; the private name is dropped from there again.
+    base = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(base + suffix):
+            spec = importlib.util.spec_from_file_location(f"{__package__}._flapack",
+                                                          base + suffix)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(spec.name, None)
+            return module
+    raise ImportError(f"scipy's LAPACK extension not found: no {base}<suffix> for any of "
+                      f"{importlib.machinery.EXTENSION_SUFFIXES}")
+
+
+dtrtrs = _load_flapack().dtrtrs
+
+
+def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for a C-ordered lower-triangular ``a``; ``b`` is kept.
+
+    Makes the call scipy's ``solve_triangular(a, b, lower=True)`` makes for
+    such an ``a``: its F-ordered transpose solved as an upper factor with
+    ``trans=1``, so the bits are scipy's.  No finiteness check: certified
+    factors are finite.  Raises ``numpy.linalg.LinAlgError`` at a zero pivot.
+    """
+    x, info = dtrtrs(a.T, b, lower=0, trans=1)
+    if info != 0:  # > 0: the 1-based row of a zero pivot; < 0: an illegal argument
+        raise np.linalg.LinAlgError(f"singular triangular matrix: dtrtrs info {info}")
+    return x
 
 
 @dataclass(frozen=True)

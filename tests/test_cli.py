@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gausskl
 from gausskl.cli import main
-from gausskl import read_matrix_csv
+from gausskl import kl_gaussian, read_matrix_csv, validate_spd
 
 
 def run(capsys, *argv):
@@ -173,6 +178,25 @@ class TestGenCommand:
         assert code == 2
         assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
         assert not out.exists()
+
+
+def test_gen_and_kl_in_a_fresh_interpreter(tmp_path):
+    # The user's path: no test module has imported scipy.linalg there, so the
+    # package's own LAPACK load is the only one.
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskl.__file__).resolve().parents[1])}
+
+    def cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "gausskl.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    cli("gen", "--dim", "70", "--seed", "1", "--out", str(x))
+    cli("gen", "--dim", "70", "--seed", "2", "--cond", "100", "--out", str(y))
+    kl = json.loads(cli("kl", "--x", str(x), "--y", str(y)))["results"]["kl_nats"]
+    sx, sy = (validate_spd(read_matrix_csv(path)) for path in (x, y))
+    assert kl == kl_gaussian(sx, sy) > 0.0
 
 
 class TestVerifyCommand:

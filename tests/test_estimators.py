@@ -160,11 +160,13 @@ class TestNormalization:
         two = build_matched_mixture(validate_spd(np.eye(2)), w, spread)
         assert (one.scale_one, one.scale_two) == (two.scale_one, two.scale_two)
 
-    def test_import_does_not_load_scipy_integrate(self):
-        # the package has no runtime quadrature; only the tests integrate
+    def test_import_does_not_load_scipy_integrate_or_linalg(self):
+        # The package has no runtime quadrature; only the tests integrate.  Its
+        # LAPACK comes from scipy's extension file, without scipy.linalg.
         src = str(Path(gausskl.__file__).resolve().parents[1])
         code = ("import gausskl, gausskl.cli, sys; "
-                "assert 'scipy.integrate' not in sys.modules")
+                "assert 'scipy.integrate' not in sys.modules; "
+                "assert 'scipy.linalg' not in sys.modules")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 

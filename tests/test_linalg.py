@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import block_diag
 
 from gausskl import (
@@ -22,7 +23,7 @@ from gausskl import (
     validate_spd,
     write_matrix_csv,
 )
-from gausskl import divergence, estimators
+from gausskl import divergence, estimators, linalg
 from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_diagonal
 
 
@@ -150,6 +151,39 @@ class TestFactoredOnce:
             monkeypatch.setattr(cls, "log_density_batch", never)
         mc_kl(py, px, 20_000, seed=3)
         assert solves == [(3, 3)]
+
+
+class TestLapack:
+    # The package loads scipy's LAPACK extension itself; its solves must be scipy's, bit for bit.
+    @staticmethod
+    def systems(m):
+        a = random_spd(m, m, 100.0).lower
+        points = np.random.default_rng(m).standard_normal((7, m))
+        return a, (random_spd(m, m + 1, 100.0).lower, points[:3].T.copy(), points.T)
+
+    @pytest.mark.parametrize("m", [1, 8, 65])
+    def test_solve_triangular_matches_scipy_bit_for_bit(self, m):
+        a, rhs = self.systems(m)
+        for b in rhs:
+            expected = scipy.linalg.solve_triangular(a, b, lower=True)
+            assert np.array_equal(linalg.solve_triangular(a, b), expected)
+
+    @pytest.mark.parametrize("m", [1, 8, 65])
+    @pytest.mark.parametrize("flags", [dict(lower=1), dict(lower=0, trans=1, unitdiag=1)])
+    def test_dtrtrs_matches_scipy_lapack_bit_for_bit(self, m, flags):
+        a, rhs = self.systems(m)
+        factor = a if flags["lower"] else a.T
+        for b in rhs:
+            x, info = linalg.dtrtrs(factor, b, **flags)
+            expected, expected_info = scipy.linalg.lapack.dtrtrs(factor, b, **flags)
+            assert info == expected_info == 0
+            assert np.array_equal(x, expected)
+
+    def test_zero_pivot_raises(self):
+        a = np.tril(np.ones((3, 3)))
+        a[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.solve_triangular(a, np.ones((3, 2)))
 
 
 class TestCholesky:

@@ -79,11 +79,10 @@ def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
 
-    Three routes build one, and only :func:`validate_spd` factors;
-    :meth:`DiagSpectrum.as_matrix` takes a spectrum's square roots, and the
-    block-diagonal assembly places certified blocks and their factors on the
-    diagonal.  ``lower`` is the lower-triangular Cholesky factor (``lower @
-    lower.T`` reconstructs ``entries``) and ``log_det`` the log-determinant,
+    Two routes build one: :func:`validate_spd` factors, and
+    :meth:`DiagSpectrum.as_matrix` takes a spectrum's square roots.
+    ``lower`` is the lower-triangular Cholesky factor (``lower @ lower.T``
+    reconstructs ``entries``) and ``log_det`` the log-determinant,
     ``2 * sum(log(diag(lower)))``.  Both arrays are read-only.
     """
 
@@ -99,17 +98,22 @@ class SpdMatrix:
 
 @dataclass(frozen=True)
 class DiagSpectrum:
-    """A vector of strictly positive variances (a diagonal covariance)."""
+    """A vector of strictly positive variances (a diagonal covariance), checked when built."""
 
     dim: int
     variances: np.ndarray
 
+    def __post_init__(self):
+        v = self.variances
+        if v.ndim != 1 or v.size == 0 or v.size != self.dim:
+            raise NonPositiveVariance(f"variance spectrum must be a non-empty 1-D vector of "
+                                      f"dim = {self.dim} entries, got shape {v.shape}")
+        if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
+            raise NonPositiveVariance(f"all variances must be finite and > 0, got min {v.min()!r}")
+
     @classmethod
     def from_variances(cls, variances) -> "DiagSpectrum":
         v = np.atleast_1d(np.array(variances, dtype=float))  # a fresh copy, frozen below
-        if v.ndim != 1 or v.size == 0:
-            raise NonPositiveVariance("variance spectrum must be a non-empty 1-D vector")
-        _check_variances(v)
         v.flags.writeable = False
         return cls(dim=v.size, variances=v)
 
@@ -124,14 +128,8 @@ class DiagSpectrum:
         return _certified(np.diag(self.variances), _diag_lower(self.variances))
 
 
-def _check_variances(v: np.ndarray) -> None:
-    if not np.all(np.isfinite(v)) or np.any(v <= 0.0):
-        raise NonPositiveVariance(f"all variances must be finite and > 0, got min {v.min()!r}")
-
-
 def _diag_lower(v: np.ndarray) -> np.ndarray:
-    # Factors of diagonal covariances, one checked spectrum per row of v.
-    _check_variances(v)
+    # Factors of diagonal covariances, one positive spectrum per row of v (not checked here).
     out = np.zeros(v.shape + v.shape[-1:])
     np.einsum("...ii->...i", out)[...] = np.sqrt(v)  # a writable view of the diagonals
     return out
@@ -193,12 +191,6 @@ def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
     lower.flags.writeable = False
     log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
     return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, log_det=log_det)
-
-
-def _block_diagonal(blocks: list[SpdMatrix]) -> SpdMatrix:
-    # No factoring: a block-diagonal matrix's factor is the block diagonal of its blocks'.
-    return _certified(_block_stack([b.entries for b in blocks]),
-                      _block_stack([b.lower for b in blocks]))
 
 
 def _block_stack(parts: list[np.ndarray]) -> np.ndarray:

@@ -12,10 +12,9 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_triangular
+from scipy.linalg import block_diag, solve_triangular
 
 from gausskl import derive_seed, random_diag_spectrum, random_spd, validate_spd
-from gausskl.linalg import _block_diagonal
 
 
 def normal_log_pdf(u: float, var: float) -> float:
@@ -136,17 +135,17 @@ def p2_trial(dims: list, t_seed: int, condition_target: float) -> tuple:
     offsets = np.cumsum([0] + dims)
     blocks = [random_spd(d, derive_seed(t_seed, i), condition_target)
               for i, d in enumerate(dims)]
-    sx = _block_diagonal(blocks)
+    lx = block_diag(*[b.lower for b in blocks])
     sy = random_spd(sum(dims), derive_seed(t_seed, len(dims)), condition_target)
 
     sub = [validate_spd(sy.entries[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]])
            for i in range(len(dims))]
     marginal_sum = sum(kl_factors_reference(blocks[i].lower, sub[i].lower)
                        for i in range(len(dims)))
-    slack = kl_factors_reference(sx.lower, sy.lower) - marginal_sum
+    slack = kl_factors_reference(lx, sy.lower) - marginal_sum
 
-    sy_bd = _block_diagonal(sub)
-    slack_eq = -abs(kl_factors_reference(sx.lower, sy_bd.lower) - marginal_sum)
+    ly_bd = block_diag(*[s.lower for s in sub])
+    slack_eq = -abs(kl_factors_reference(lx, ly_bd) - marginal_sum)
     return slack, slack_eq
 
 

@@ -1,10 +1,10 @@
-"""Print the 77-line report set: the bit-identity gate for campaign reports and kl_gaussian.
+"""Print the 85-line report set: the bit-identity gate for campaign reports, kl_gaussian and gen.
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
 differing line (``-`` saved, ``+`` now) with the fields that differ and
-|Δ| of its value (``worst_margin`` or ``kl``), then a summary line naming
-every differing proposition or kernel and field with the largest |Δ|, and
+|Δ| of its value (``worst_margin`` or ``kl``; inf for a ``gen`` line), then
+a summary line naming every differing proposition, kernel or command and field with the largest |Δ|, and
 exits 1 if any differs:
 
     PYTHONPATH=src python tests/report_set.py > before.jsonl
@@ -18,18 +18,26 @@ block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
 m <= 8, so the last 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
 256 and 512, across the kernel's 64-column solve blocks: four pairs per m
 drawn at condition target 100 from seeds derived from 7, each against a
-dense and a diagonal reference.  It takes a few seconds.  pytest does not
-collect this file.
+dense and a diagonal reference.  The last 8 lines are the sha256 of files
+written by the ``gen`` command, dense at condition target 100 and
+``--diagonal``, at m = 1, 8, 64 and 512, from seeds derived from 7.  It takes
+a few seconds.  pytest does not collect this file.
 """
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 from itertools import zip_longest
 
 from gausskl import (check_c1, check_prop1, check_prop2, check_prop3, derive_seed, kl_gaussian,
                      random_diag_spectrum, random_spd)
+from gausskl.cli import main as cli_main
 
 MASTER_SEED = 7
 P3_DIMS = range(1, 9)
@@ -39,6 +47,8 @@ MC_DIMS = (1, 2, 3)
 KL_DIMS = (64, 65, 129, 256, 512)
 KL_PAIRS = 4
 KL_COND = 100.0
+GEN_DIMS = (1, 8, 64, 512)
+GEN_FLAGS = (("--cond", "100"), ("--diagonal",))
 VALUES = ("worst_margin", "kl")  # the hex-written value of a line
 
 
@@ -64,12 +74,28 @@ def kl_values():
                        "reference": reference, "kl": kl_gaussian(sx, sy).hex()}
 
 
+def gen_hashes():
+    runs = [(dim, flags) for flags in GEN_FLAGS for dim in GEN_DIMS]
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, (dim, flags) in enumerate(runs):
+            seed, path = derive_seed(MASTER_SEED, k), os.path.join(tmp, f"gen{k}.csv")
+            with contextlib.redirect_stdout(io.StringIO()):  # gen's own report
+                code = cli_main(["gen", "--dim", str(dim), "--seed", str(seed), *flags,
+                                 "--out", path])
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            yield {"command": "gen", "dim": dim, "seed": seed, "flags": " ".join(flags),
+                   "exit": code, "sha256": digest}
+
+
 def lines():
     for report in reports():
         line = report.as_dict()
         line["worst_margin"] = report.worst_margin.hex()
         yield json.dumps(line)
     for line in kl_values():
+        yield json.dumps(line)
+    for line in gen_hashes():
         yield json.dumps(line)
 
 
@@ -104,12 +130,12 @@ def main(argv=None) -> int:
 
 
 def _source(line: str):
-    # The proposition of a report line, or the kernel of a kernel line.
+    # The proposition of a report line, the kernel of a kernel line, or "gen".
     try:
         fields = json.loads(line)
     except json.JSONDecodeError:  # "(none)" past the end of the shorter set
         return None
-    return fields.get("proposition", fields.get("kernel"))
+    return next((fields[k] for k in ("proposition", "kernel", "command") if k in fields), None)
 
 
 def _compare(old: str, new: str) -> tuple:

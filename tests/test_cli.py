@@ -9,7 +9,8 @@ import pytest
 
 import gausskl
 from gausskl.cli import main
-from gausskl import kl_gaussian, read_matrix_csv, validate_spd
+from gausskl import (kl_gaussian, random_diag_spectrum, random_spd, read_matrix_csv,
+                     validate_spd)
 
 
 def run(capsys, *argv):
@@ -131,13 +132,40 @@ class TestKlCommand:
 
 class TestGenCommand:
     def test_round_trip_divergence_exactly_zero(self, tmp_path, capsys):
-        out = tmp_path / "a.csv"
-        code, _, _ = run(capsys, "gen", "--dim", "3", "--seed", "42",
-                         "--cond", "10", "--out", str(out))
+        # gen never reads its file back, so the round trip is checked here:
+        # the file parses to the drawn entries bit for bit and certifies.
+        cases = [(dim, cond) for dim in (1, 8, 64, 512) for cond in (1.0, 1e4, None)]
+        for seed, (dim, cond) in enumerate(cases + [(8, 1e10)], 42):
+            out = tmp_path / f"m{seed}.csv"
+            flags = ("--diagonal",) if cond is None else ("--cond", repr(cond))
+            code, _, _ = run(capsys, "gen", "--dim", str(dim), "--seed", str(seed), *flags,
+                             "--out", str(out))
+            assert code == 0
+            drawn = (random_diag_spectrum(dim, seed).as_matrix() if cond is None
+                     else random_spd(dim, seed, cond)).entries
+            assert read_matrix_csv(out).tobytes() == drawn.tobytes()
+            code, out_kl, _ = run(capsys, "kl", "--x", str(out), "--y", str(out))
+            assert code == 0
+            assert json.loads(out_kl)["results"]["kl_nats"] == 0.0
+
+    def test_out_may_be_a_device(self, capsys):
+        code, out, _ = run(capsys, "gen", "--dim", "3", "--seed", "1", "--out", os.devnull)
         assert code == 0
-        code, out_kl, _ = run(capsys, "kl", "--x", str(out), "--y", str(out))
+        assert json.loads(out)["status"] == "ok"
+
+    @pytest.mark.parametrize("flags, factored", [((), 1), (("--diagonal",), 0)],
+                             ids=["dense", "diagonal"])
+    def test_factors_only_the_drawn_matrix(self, tmp_path, capsys, monkeypatch, flags,
+                                           factored):
+        # A stacked call factors as many matrices as its leading dimension.
+        calls = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(len(a) if a.ndim == 3 else 1) or original(a))
+        code, _, _ = run(capsys, "gen", "--dim", "4", "--seed", "5", *flags,
+                         "--out", str(tmp_path / "a.csv"))
         assert code == 0
-        assert json.loads(out_kl)["results"]["kl_nats"] == 0.0
+        assert sum(calls) == factored
 
     def test_diagonal_flag_zero_off_diagonals(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -170,10 +198,11 @@ class TestGenCommand:
         assert "ValueError" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [(), ("--diagonal",)], ids=["dense", "diagonal"])
     @pytest.mark.parametrize("cond", ["nan", "inf"])
-    def test_non_finite_condition_target_exits_2(self, tmp_path, capsys, cond):
+    def test_non_finite_condition_target_exits_2(self, tmp_path, capsys, cond, flags):
         out = tmp_path / "a.csv"
-        code, _, err = run(capsys, "gen", "--dim", "3", "--seed", "1", "--cond", cond,
+        code, _, err = run(capsys, "gen", "--dim", "3", "--seed", "1", "--cond", cond, *flags,
                            "--out", str(out))
         assert code == 2
         assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
@@ -197,6 +226,20 @@ def test_gen_and_kl_in_a_fresh_interpreter(tmp_path):
     kl = json.loads(cli("kl", "--x", str(x), "--y", str(y)))["results"]["kl_nats"]
     sx, sy = (validate_spd(read_matrix_csv(path)) for path in (x, y))
     assert kl == kl_gaussian(sx, sy) > 0.0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_gen_to_a_stdout_pipe_returns():
+    # The CSV, then the report, on one pipe; gen does not read the pipe back.
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskl.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "gausskl.cli", "gen", "--dim", "3",
+                           "--seed", "4", "--out", "/dev/stdout"],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    *rows, report = proc.stdout.splitlines()
+    assert json.loads(report)["status"] == "ok"
+    drawn = random_spd(3, 4, 10.0).entries
+    assert np.loadtxt(rows, delimiter=",", ndmin=2).tobytes() == drawn.tobytes()
 
 
 class TestVerifyCommand:

@@ -24,7 +24,7 @@ from gausskl import (
     write_matrix_csv,
 )
 from gausskl import divergence, estimators, linalg
-from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_diagonal
+from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_stack
 
 
 class TestValidateSpd:
@@ -282,6 +282,15 @@ class TestDiagSpectrum:
         with pytest.raises(NonPositiveVariance):
             DiagSpectrum.from_variances([])
 
+    def test_spectrum_built_directly_is_checked(self):
+        # The check runs where a spectrum is built, not first at as_matrix().
+        with pytest.raises(NonPositiveVariance):
+            DiagSpectrum(dim=2, variances=np.array([-1.0, 1.0]))
+        with pytest.raises(NonPositiveVariance):
+            DiagSpectrum(dim=2, variances=np.array([np.nan, 1.0]))
+        with pytest.raises(NonPositiveVariance, match="dim = 3"):
+            DiagSpectrum(dim=3, variances=np.array([1.0, 2.0]))
+
     def test_as_matrix_round_trip(self):
         lx = DiagSpectrum.from_variances([2.0, 3.0])
         m = lx.as_matrix()
@@ -309,31 +318,28 @@ class TestDiagSpectrum:
 
 
 class TestBlockDiagonal:
-    def test_equals_dense_assembly(self):
-        # Entries and factor equal scipy's block_diag of the blocks' arrays
-        # bit for bit; log_det agrees with refactoring the dense matrix.
+    def test_stack_places_blocks_as_block_diag(self):
+        # p2 assembles its block-diagonal factors from (T, d, d) stacks of
+        # certified blocks: each slice equals scipy's block_diag bit for bit.
         structures = [[1], [1, 1], [2, 2], [1, 2], [3, 3, 2], [4, 1, 3, 2], [8, 5]]
         for seed, dims in enumerate(structures):
-            blocks = [random_spd(d, derive_seed(seed, i), 1e4) for i, d in enumerate(dims)]
-            blocks.append(DiagSpectrum.from_variances([1e-3, 7.0, 1e3]).as_matrix())
-            assembled = _block_diagonal(blocks)
-            entries = block_diag(*[b.entries for b in blocks])
-            dense = validate_spd(entries)
-            assert assembled.dim == sum(dims) + 3
-            assert assembled.entries.tobytes() == entries.tobytes()
-            assert assembled.lower.tobytes() == block_diag(*[b.lower for b in blocks]).tobytes()
-            # relative to the size of the log-pivot terms, so a log_det near 0 is fine
-            scale = 2.0 * np.abs(np.log(np.diag(dense.lower))).sum()
-            assert abs(assembled.log_det - dense.log_det) <= 1e-12 * scale
-            assert not assembled.entries.flags.writeable
-            assert not assembled.lower.flags.writeable
+            blocks = [[random_spd(d, derive_seed(seed, 3 * t + i), 1e4) for t in range(3)]
+                      for i, d in enumerate(dims)]
+            blocks.append([DiagSpectrum.from_variances([1e-3, 7.0, 1e3 * (t + 1)]).as_matrix()
+                           for t in range(3)])
+            for field in ("entries", "lower"):
+                stacks = [np.stack([getattr(b, field) for b in block]) for block in blocks]
+                assembled = _block_stack(stacks)
+                assert assembled.shape == (3, sum(dims) + 3, sum(dims) + 3)
+                for t in range(3):
+                    expected = block_diag(*[stack[t] for stack in stacks])
+                    assert assembled[t].tobytes() == expected.tobytes()
 
-    def test_rejects_dimension_above_max(self):
-        half = DiagSpectrum.from_variances(np.ones(MAX_DIM // 2)).as_matrix()
-        assert _block_diagonal([half, half]).dim == MAX_DIM
-        one = validate_spd([[1.0]])
+    def test_stack_rejects_dimension_above_max(self):
+        half = np.ones((2, MAX_DIM // 2, MAX_DIM // 2))
+        assert _block_stack([half, half]).shape == (2, MAX_DIM, MAX_DIM)
         with pytest.raises(ValueError, match="exceeds supported maximum"):
-            _block_diagonal([half, half, one])
+            _block_stack([half, half, np.ones((2, 1, 1))])
 
 
 class TestCsvRoundTrip:

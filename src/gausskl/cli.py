@@ -2,8 +2,8 @@
 
 Three subcommands:
 
-* ``kl``     -- closed-form divergence between two CSV covariance matrices,
-  plus the diagonal bound and gap when the reference file is exactly diagonal.
+* ``kl``     -- closed-form divergence between two CSV covariance matrices;
+  an exactly diagonal reference file also gets the diagonal bound and gap.
 * ``verify`` -- run a property campaign and exit 0 (clean) or 1 (violations).
 * ``gen``    -- write a reproducible random SPD (or diagonal) test matrix.
 
@@ -31,7 +31,8 @@ from .harness import (
     check_prop3,
     random_diag_spectrum,
 )
-from .linalg import _check_condition, random_spd, read_matrix_csv, validate_spd, write_matrix_csv
+from .linalg import (DiagSpectrum, _check_condition, _check_dim, random_spd, read_matrix_csv,
+                     validate_spd, write_matrix_csv)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,25 +73,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(results: dict) -> None:
-    for key, value in results.items():
-        if not math.isfinite(value):
-            raise GaussKlError(f"non-finite result for {key}: {value!r}")
+def _reference(raw: np.ndarray):
+    # A square file whose only nonzeros are a positive, finite diagonal is a
+    # spectrum, certified in O(m) and never factored; any other file is validated.
+    d = np.diag(raw)
+    if (raw.shape == d.shape * 2 and np.count_nonzero(raw) == d.size
+            and 0.0 < d.min() and d.max() < math.inf):  # NaN fails both
+        _check_dim(d.size)
+        return DiagSpectrum.from_variances(d)
+    return validate_spd(raw)
 
 
 def _cmd_kl(args) -> int:
-    raw_x = read_matrix_csv(args.x)
-    sx = validate_spd(raw_x)
+    sx = _reference(read_matrix_csv(args.x))
     sy = validate_spd(read_matrix_csv(args.y))
-    results = {"kl_nats": kl_gaussian(sx, sy)}
-
-    # The bound applies only when the reference file is structurally diagonal:
-    # literal zeros off the diagonal (a certified diagonal has no zeros).
-    if np.count_nonzero(raw_x) == sx.dim:
-        rep = kl_gap_diagonal(sx.diagonal(), sy)
-        results["bound_nats"] = rep.bound
-        results["gap_nats"] = rep.gap
-    _check_finite(results)
+    if isinstance(sx, DiagSpectrum):
+        rep = kl_gap_diagonal(sx, sy)
+        results = {"kl_nats": rep.kl_exact, "bound_nats": rep.bound, "gap_nats": rep.gap}
+    else:
+        results = {"kl_nats": kl_gaussian(sx, sy)}
+    for key, value in results.items():
+        if not math.isfinite(value):
+            raise GaussKlError(f"non-finite result for {key}: {value!r}")
 
     report = {
         "command": "kl",

@@ -70,27 +70,21 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     (t, m, _), b = lx.shape, _SOLVE_BLOCK
     dx, dy = np.diagonal(lx, axis1=1, axis2=2), np.diagonal(ly, axis1=1, axis2=2)
     a = lx / dx[:, None, :]
-    # Each nt slice is M's C-ordered transpose.  Its first b rows, M's first b
-    # columns, are solved in place by linalg.solve_triangular's call (a.T,
-    # trans=1) with a unit diagonal: for m <= b that is the whole solve.
+    # Each nt slice is M's C-ordered transpose.  M is zero above its diagonal, so
+    # block j:k is solved against Lx[j:, j:] on rows j: (C-ordered; block 0 is nt's
+    # own first rows), by linalg.solve_triangular's call (a.T, trans=1) with a unit diagonal.
     nt = np.zeros(ly.shape)
-    first = np.divide(ly[:, :, :b].swapaxes(1, 2), dy[:, :b, None], out=nt[:, :b])
-    for a_s, first_s in zip(a, first):
-        dtrtrs(a_s.T, first_s.T, lower=0, trans=1, unitdiag=1, overwrite_b=1)
     with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
-        # M is zero above its diagonal, so the rows j: of its columns j:k come
-        # from the trailing system Lx[j:, j:] alone, solved on F-ordered panels.
-        for j in range(b, m, b):
+        for j in range(0, m, b):
             k = min(j + b, m)
-            panels = np.divide(ly[:, j:, j:k], dy[:, None, j:k],
-                               out=np.empty((t, k - j, m - j)).swapaxes(1, 2))
-            for a_s, p in zip(a, panels):
-                dtrtrs(a_s[j:, j:].T, p, lower=0, trans=1, unitdiag=1, overwrite_b=1)
-            panels *= dy[:, None, j:k]
-            panels /= dx[:, j:, None]
-            nt[:, j:k, j:] = panels.swapaxes(1, 2)
-        first *= dy[:, :b, None]  # finite scalings keep a zero entry zero (no 0 * inf)
-        first /= dx[:, None, :]
+            rows = nt[:, :k] if j == 0 else np.empty((t, k - j, m - j))
+            np.divide(ly[:, j:, j:k].swapaxes(1, 2), dy[:, j:k, None], out=rows)
+            for a_s, r in zip(a[:, j:, j:], rows):
+                dtrtrs(a_s.T, r.T, lower=0, trans=1, unitdiag=1, overwrite_b=1)
+            rows *= dy[:, j:k, None]  # finite scalings keep a zero entry zero (no 0 * inf)
+            rows /= dx[:, None, j:]
+            if j:
+                nt[:, j:k, j:] = rows
         u = (dy - dx) / dx * (dy / dx + 1.0)
     off = nt.reshape(t, -1)  # each row is M in column-major order
     off[:, ::m + 1] = 0.0  # the strict lower part of M
@@ -130,9 +124,9 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     factor diagonals dx, dy.  Every term is >= 0 in floating point.  The strict
     lower part of M comes from unit-diagonal solves of the column-normalized
     factors, which never divide: sx == sy gives +0.0.  M is solved 64 columns
-    at a time, each block against the trailing rows of Lx that its nonzero
-    part spans, about m^3/3 flops in all; for m <= 64 that is one solve.  An
-    overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
+    at a time, block j:j+64 against Lx[j:, j:] on rows j:, about m^3/3 flops
+    in all; for m <= 64 that is one solve.  An overflowing pivot ratio
+    dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")

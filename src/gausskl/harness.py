@@ -154,11 +154,11 @@ def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatri
 
 def _block_dims(block_dims: Sequence[int]) -> list[int]:
     # The p2 block list as ints; check_prop2 and the CLI share these checks.
+    if not all(isinstance(d, (int, np.integer)) for d in block_dims):
+        raise ValueError(f"block dims must be integers, got {list(block_dims)}")
     dims = [int(d) for d in block_dims]
-    if len(dims) < 2:
-        raise ValueError(f"need at least two blocks, got {dims}")
-    if any(d < 1 for d in dims):
-        raise ValueError(f"block dims must be positive, got {dims}")
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError(f"need at least two positive block dims, got {dims}")
     return dims
 
 

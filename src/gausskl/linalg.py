@@ -123,8 +123,7 @@ class DiagSpectrum:
         The factor is the diagonal of square roots; every field equals what
         :func:`validate_spd` returns for ``np.diag(variances)``, bit for bit.
         """
-        if self.dim > MAX_DIM:
-            raise ValueError(f"dimension {self.dim} exceeds supported maximum {MAX_DIM}")
+        _check_dim(self.dim)
         return _certified(np.diag(self.variances), _diag_lower(self.variances))
 
 
@@ -163,8 +162,7 @@ def validate_spd(raw) -> SpdMatrix:
 
 def _certify(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # validate_spd over a (T, m, m) stack: the symmetrized stack and its factors.
-    if arr.shape[-1] > MAX_DIM:
-        raise ValueError(f"dimension {arr.shape[-1]} exceeds supported maximum {MAX_DIM}")
+    _check_dim(arr.shape[-1])
     if not np.all(np.isfinite(arr)):
         raise NotPositiveDefinite("matrix has non-finite entries")
 
@@ -196,8 +194,7 @@ def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
 def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
     # (..., d_b, d_b) parts placed on the diagonal of a zero (..., D, D) stack.
     dim = sum(p.shape[-1] for p in parts)
-    if dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
+    _check_dim(dim)
     out = np.zeros(parts[0].shape[:-2] + (dim, dim))
     start = 0
     for p in parts:
@@ -211,8 +208,7 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
     # random_spd's exactly symmetric draws before certification, one per generator.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if dim > MAX_DIM:
-        raise ValueError(f"dim {dim} exceeds supported maximum {MAX_DIM}")
+    _check_dim(dim)
     _check_condition(condition_target)
 
     half_log = 0.5 * math.log(condition_target)
@@ -222,6 +218,11 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _check_dim(dim: int) -> None:
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds supported maximum {MAX_DIM}")
 
 
 def _check_condition(condition_target: float) -> None:

@@ -94,9 +94,8 @@ def kl_factors_reference(lx, ly) -> float:
     """KL(y || x) from Cholesky factors by the single-matrix formula.
 
     The strict lower part of M = Lx^-1 Ly from scipy ``solve_triangular`` on
-    the column-normalized factors, 64 columns at a time: the first block
-    against all of Lx, each later block j:j+64 against the trailing Lx[j:, j:]
-    on rows j: only (M is zero above its diagonal).  Its squares are summed by
+    the column-normalized factors, 64 columns at a time: block j:j+64 against
+    Lx[j:, j:] on rows j: (M is zero above its diagonal).  Its squares are summed by
     one dot product in column-major order, and the diagonal excess terms by
     ``np.sum``.  A stacked kernel must reproduce it bit for bit.
     """

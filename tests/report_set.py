@@ -1,9 +1,9 @@
-"""Print the 85-line report set: the bit-identity gate for campaign reports, kl_gaussian and gen.
+"""Print the 93-line report set: the bit-identity gate for campaign reports, kl_gaussian and the CLI.
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
 differing line (``-`` saved, ``+`` now) with the fields that differ and
-|Δ| of its value (``worst_margin`` or ``kl``; inf for a ``gen`` line), then
+|Δ| of its value (``worst_margin``, ``kl`` or ``kl_nats``; inf for a ``gen`` line), then
 a summary line naming every differing proposition, kernel or command and field with the largest |Δ|, and
 exits 1 if any differs:
 
@@ -15,13 +15,16 @@ shows.  The first 37 lines are campaign reports: ``check_prop3`` at dims 1-8
 and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over seven
 block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
 (5 trials, n = 10000), all with master seed 7.  Campaign matrices have
-m <= 8, so the last 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
+m <= 8, so the next 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
 256 and 512, across the kernel's 64-column solve blocks: four pairs per m
 drawn at condition target 100 from seeds derived from 7, each against a
-dense and a diagonal reference.  The last 8 lines are the sha256 of files
+dense and a diagonal reference.  The next 8 lines are the sha256 of files
 written by the ``gen`` command, dense at condition target 100 and
-``--diagonal``, at m = 1, 8, 64 and 512, from seeds derived from 7.  It takes
-a few seconds.  pytest does not collect this file.
+``--diagonal``, at m = 1, 8, 64 and 512, from seeds derived from 7.  The last
+8 lines are the results of the ``kl`` command on files written by
+``write_matrix_csv``: at m = 1, 8, 64 and 512, one subject drawn at condition
+target 100 against a dense and a diagonal reference, from seeds derived from
+7.  It takes a few seconds.  pytest does not collect this file.
 """
 
 import argparse
@@ -36,7 +39,7 @@ import tempfile
 from itertools import zip_longest
 
 from gausskl import (check_c1, check_prop1, check_prop2, check_prop3, derive_seed, kl_gaussian,
-                     random_diag_spectrum, random_spd)
+                     random_diag_spectrum, random_spd, write_matrix_csv)
 from gausskl.cli import main as cli_main
 
 MASTER_SEED = 7
@@ -49,7 +52,8 @@ KL_PAIRS = 4
 KL_COND = 100.0
 GEN_DIMS = (1, 8, 64, 512)
 GEN_FLAGS = (("--cond", "100"), ("--diagonal",))
-VALUES = ("worst_margin", "kl")  # the hex-written value of a line
+CLI_KL_DIMS = (1, 8, 64, 512)
+VALUES = ("worst_margin", "kl", "kl_nats")  # the hex-written value of a line
 
 
 def reports():
@@ -88,6 +92,24 @@ def gen_hashes():
                    "exit": code, "sha256": digest}
 
 
+def cli_kl_results():
+    with tempfile.TemporaryDirectory() as tmp:
+        x, y = os.path.join(tmp, "x.csv"), os.path.join(tmp, "y.csv")
+        for dim in CLI_KL_DIMS:
+            seed = derive_seed(MASTER_SEED, dim)
+            write_matrix_csv(y, random_spd(dim, derive_seed(seed, 0), KL_COND).entries)
+            dense = random_spd(dim, derive_seed(seed, 1), KL_COND)
+            diagonal = random_diag_spectrum(dim, derive_seed(seed, 2)).as_matrix()
+            for reference, sx in (("dense", dense), ("diagonal", diagonal)):
+                write_matrix_csv(x, sx.entries)
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = cli_main(["kl", "--x", x, "--y", y])
+                results = json.loads(out.getvalue())["results"]
+                yield {"command": "kl", "dim": dim, "reference": reference, "exit": code,
+                       **{key: value.hex() for key, value in results.items()}}
+
+
 def lines():
     for report in reports():
         line = report.as_dict()
@@ -96,6 +118,8 @@ def lines():
     for line in kl_values():
         yield json.dumps(line)
     for line in gen_hashes():
+        yield json.dumps(line)
+    for line in cli_kl_results():
         yield json.dumps(line)
 
 

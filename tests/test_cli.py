@@ -9,8 +9,8 @@ import pytest
 
 import gausskl
 from gausskl.cli import main
-from gausskl import (kl_gaussian, random_diag_spectrum, random_spd, read_matrix_csv,
-                     validate_spd)
+from gausskl import (derive_seed, kl_gaussian, random_diag_spectrum, random_spd,
+                     read_matrix_csv, validate_spd, write_matrix_csv)
 
 
 def run(capsys, *argv):
@@ -21,6 +21,15 @@ def run(capsys, *argv):
 
 def write_csv(path, rows):
     path.write_text("\n".join(",".join(str(v) for v in row) for row in rows) + "\n")
+
+
+def count_factored(monkeypatch):
+    # Matrices factored by np.linalg.cholesky; a stacked call counts its leading dimension.
+    calls = []
+    original = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda a: calls.append(len(a) if a.ndim == 3 else 1) or original(a))
+    return calls
 
 
 class TestKlCommand:
@@ -120,14 +129,64 @@ class TestKlCommand:
         assert code == 2
         assert "MatrixParseError" in err
 
-    def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dx, dy", [(2, 3), (3, 2)])
+    def test_dimension_mismatch_exits_2(self, tmp_path, capsys, dx, dy):
         x = tmp_path / "x.csv"
         y = tmp_path / "y.csv"
-        write_csv(x, [[1, 0], [0, 1]])
-        write_csv(y, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        write_matrix_csv(x, np.eye(dx))
+        write_matrix_csv(y, np.eye(dy))
         code, _, err = run(capsys, "kl", "--x", str(x), "--y", str(y))
         assert code == 2
         assert "DimensionMismatch" in err
+
+
+class TestKlDiagonalReference:
+    # A reference file whose only nonzeros are a positive, finite diagonal is
+    # scored as a spectrum: never factored, and its divergence is bound + gap.
+    @pytest.mark.parametrize("diagonal, factored", [(True, 1), (False, 2)],
+                             ids=["diagonal", "dense"])
+    def test_factors_only_a_dense_reference(self, tmp_path, capsys, monkeypatch, diagonal,
+                                            factored):
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        sx = random_diag_spectrum(6, 1).as_matrix() if diagonal else random_spd(6, 1, 10.0)
+        write_matrix_csv(x, sx.entries)
+        write_matrix_csv(y, random_spd(6, 2, 10.0).entries)
+        calls = count_factored(monkeypatch)
+        code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
+        assert code == 0
+        assert sum(calls) == factored
+        assert ("bound_nats" in json.loads(out)["results"]) == diagonal
+
+    def test_divergence_is_bound_plus_gap(self, tmp_path, capsys):
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        cases = [(m, seed) for m in range(1, 9) for seed in range(4)] + [(64, 0)]
+        for m, seed in cases:
+            write_matrix_csv(x, random_diag_spectrum(m, derive_seed(seed, m)).as_matrix().entries)
+            for sy in (random_spd(m, derive_seed(seed, 100 + m), 1e4),
+                       random_diag_spectrum(m, derive_seed(seed, 200 + m)).as_matrix()):
+                write_matrix_csv(y, sy.entries)
+                code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
+                assert code == 0
+                r = json.loads(out)["results"]
+                assert r["kl_nats"] == r["bound_nats"] + r["gap_nats"], (m, seed)
+                assert r["kl_nats"] >= r["bound_nats"], (m, seed)
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, "nan", "inf"])
+    def test_bad_diagonal_entry_not_positive_definite(self, tmp_path, capsys, entry):
+        x = tmp_path / "x.csv"
+        write_csv(x, [[1, 0, 0], [0, entry, 0], [0, 0, 2]])
+        code, _, err = run(capsys, "kl", "--x", str(x), "--y", str(x))
+        assert code == 2
+        assert "NotPositiveDefinite" in err
+
+    def test_oversize_identity_value_error(self, tmp_path, capsys):
+        # Rejected before the subject is read, as a dense reference is.
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_matrix_csv(x, np.eye(513))
+        write_csv(y, [[1, 0], [0, 1]])
+        code, _, err = run(capsys, "kl", "--x", str(x), "--y", str(y))
+        assert code == 2
+        assert "error: ValueError: " in err and "maximum 512" in err
 
 
 class TestGenCommand:
@@ -157,11 +216,7 @@ class TestGenCommand:
                              ids=["dense", "diagonal"])
     def test_factors_only_the_drawn_matrix(self, tmp_path, capsys, monkeypatch, flags,
                                            factored):
-        # A stacked call factors as many matrices as its leading dimension.
-        calls = []
-        original = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda a: calls.append(len(a) if a.ndim == 3 else 1) or original(a))
+        calls = count_factored(monkeypatch)
         code, _, _ = run(capsys, "gen", "--dim", "4", "--seed", "5", *flags,
                          "--out", str(tmp_path / "a.csv"))
         assert code == 0

@@ -153,7 +153,8 @@ def kl_gap_diagonal(lx: DiagSpectrum, sy: SpdMatrix) -> GapReport:
     ln(sqrt(Sy_ii) / L_ii) over the stored factor L of sy.  LAPACK computes
     each pivot as sqrt(Sy_ii - s) with s >= 0, so every term is >= 0 in
     floating point: the gap is never negative, and +0.0 for a diagonal sy.
-    O(m) given the certified sy.
+    O(m) given sy, but each term is accurate to eps only absolute: correlations
+    weaker than ~1e-8 round out of the pivots and are lost.
     """
     bound = diagonal_lower_bound(lx, sy)
     gap = float(np.sum(np.log(np.sqrt(np.diag(sy.entries)) / np.diag(sy.lower))))

@@ -154,9 +154,11 @@ def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatri
 
 def _block_dims(block_dims: Sequence[int]) -> list[int]:
     # The p2 block list as ints; check_prop2 and the CLI share these checks.
-    if not all(isinstance(d, (int, np.integer)) for d in block_dims):
-        raise ValueError(f"block dims must be integers, got {list(block_dims)}")
-    dims = [int(d) for d in block_dims]
+    raw = list(block_dims)  # one pass, so an iterator is read once
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) or
+               isinstance(d, float) and d.is_integer() for d in raw):  # np.float64 is a float
+        raise ValueError(f"block dims must be integers, got {raw}")
+    dims = [int(d) for d in raw]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"need at least two positive block dims, got {dims}")
     return dims

@@ -1,8 +1,8 @@
 """Independent numerical oracles used across the test suite.
 
 Everything here evaluates definitions directly (quadrature of densities,
-hand-rolled 2x2 determinants, LU log-determinants) and deliberately shares
-no code with the package under test.  The exceptions are the per-trial
+hand-rolled 2x2 determinants, LU log-determinants, 60-digit mpmath) and
+deliberately shares no code with the package under test.  The exceptions are the per-trial
 campaign references at the end: they draw their instances through the
 package's single-matrix public API, trial by trial, as the reference for
 the chunked campaigns.
@@ -10,6 +10,7 @@ the chunked campaigns.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag, solve_triangular
@@ -69,6 +70,15 @@ def kl_determinant_route(sx, sy) -> float:
     assert sign_x > 0 and sign_y > 0
     trace = float(np.trace(np.linalg.solve(sx, sy)))
     return 0.5 * (trace - log_det_y + log_det_x - len(sx))
+
+
+def kl_mpmath(sx, sy, dps: int = 60) -> float:
+    """0.5 * [tr(Sx^-1 Sy) - m - ln det Sy + ln det Sx] of the given floats, at dps digits."""
+    with mpmath.workdps(dps):
+        x, y = mpmath.matrix(np.asarray(sx).tolist()), mpmath.matrix(np.asarray(sy).tolist())
+        ratio = mpmath.inverse(x) * y
+        trace = sum(ratio[i, i] for i in range(ratio.rows))
+        return float((trace - ratio.rows - mpmath.log(mpmath.det(y)) + mpmath.log(mpmath.det(x))) / 2)
 
 
 def excess_series(u: float) -> float:

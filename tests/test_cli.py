@@ -11,6 +11,7 @@ import gausskl
 from gausskl.cli import main
 from gausskl import (derive_seed, kl_gaussian, random_diag_spectrum, random_spd,
                      read_matrix_csv, validate_spd, write_matrix_csv)
+from oracles import kl_mpmath
 
 
 def run(capsys, *argv):
@@ -143,19 +144,22 @@ class TestKlCommand:
 class TestKlDiagonalReference:
     # A reference file whose only nonzeros are a positive, finite diagonal is
     # scored as a spectrum: never factored, and its divergence is bound + gap.
-    @pytest.mark.parametrize("diagonal, factored", [(True, 1), (False, 2)],
-                             ids=["diagonal", "dense"])
-    def test_factors_only_a_dense_reference(self, tmp_path, capsys, monkeypatch, diagonal,
-                                            factored):
+    @pytest.mark.parametrize("x_diagonal, y_diagonal, factored",
+                             [(True, False, 1), (False, False, 2), (True, True, 0),
+                              (False, True, 1)],
+                             ids=["diagonal-dense", "dense-dense", "diagonal-diagonal",
+                                  "dense-diagonal"])
+    def test_factors_only_dense_files(self, tmp_path, capsys, monkeypatch, x_diagonal,
+                                      y_diagonal, factored):
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
-        sx = random_diag_spectrum(6, 1).as_matrix() if diagonal else random_spd(6, 1, 10.0)
-        write_matrix_csv(x, sx.entries)
-        write_matrix_csv(y, random_spd(6, 2, 10.0).entries)
+        for path, diagonal, seed in ((x, x_diagonal, 1), (y, y_diagonal, 2)):
+            s = random_diag_spectrum(6, seed).as_matrix() if diagonal else random_spd(6, seed, 10.0)
+            write_matrix_csv(path, s.entries)
         calls = count_factored(monkeypatch)
         code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
         assert code == 0
         assert sum(calls) == factored
-        assert ("bound_nats" in json.loads(out)["results"]) == diagonal
+        assert ("bound_nats" in json.loads(out)["results"]) == x_diagonal
 
     def test_divergence_is_bound_plus_gap(self, tmp_path, capsys):
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
@@ -170,6 +174,50 @@ class TestKlDiagonalReference:
                 r = json.loads(out)["results"]
                 assert r["kl_nats"] == r["bound_nats"] + r["gap_nats"], (m, seed)
                 assert r["kl_nats"] >= r["bound_nats"], (m, seed)
+
+    @staticmethod
+    def weakly_correlated(m, rho, seed):
+        # Variances spread over e^+-3, correlations rho * U(-1, 1): exactly symmetric.
+        rng = np.random.default_rng(seed)
+        v = np.exp(rng.uniform(-3.0, 3.0, m))
+        r = np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1)
+        s = np.sqrt(v)
+        sy = rho * (r + r.T) * s[:, None] * s[None, :]
+        sy[np.diag_indices(m)] = v
+        return sy
+
+    def test_divergence_and_gap_match_mpmath(self, tmp_path, capsys):
+        # Weak correlations live in sy's off-diagonal factor entries, not in its
+        # pivots: the report must keep them, as accurately as kl_gaussian does.
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        subjects = [self.weakly_correlated(m, rho, seed) for m in (2, 3, 5, 8)
+                    for rho in (1e-2, 1e-4, 1e-9) for seed in range(2)]
+        subjects += [random_spd(m, derive_seed(3, m), 1e4).entries for m in (2, 3, 5, 8)]
+        for i, sy in enumerate(subjects):
+            m = len(sy)
+            write_matrix_csv(y, sy)
+            for vx in (np.diag(sy).copy(), random_diag_spectrum(m, derive_seed(4, i)).variances):
+                write_matrix_csv(x, np.diag(vx))
+                code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
+                assert code == 0
+                r = json.loads(out)["results"]
+                kl_true, gap_true = kl_mpmath(np.diag(vx), sy), kl_mpmath(np.diag(np.diag(sy)), sy)
+                kl_dense = kl_gaussian(validate_spd(np.diag(vx)), validate_spd(sy))
+                assert abs(r["kl_nats"] - kl_true) <= (abs(kl_dense - kl_true)
+                                                       + 1e-14 * kl_true), (i, vx)
+                assert abs(r["gap_nats"] - gap_true) <= 1e-14 * gap_true, i
+                assert r["kl_nats"] == r["bound_nats"] + r["gap_nats"], i
+
+    def test_weak_correlation_is_not_lost(self, tmp_path, capsys):
+        # L22 = sqrt(1 - 1e-18) rounds to 1: only L21 carries the correlation.
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_matrix_csv(x, np.eye(2))
+        write_matrix_csv(y, np.array([[1.0, 1e-9], [1e-9, 1.0]]))
+        code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
+        assert code == 0
+        r = json.loads(out)["results"]
+        assert r["bound_nats"] == 0.0
+        assert r["kl_nats"] == r["gap_nats"] == pytest.approx(5e-19, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("entry", [0.0, -1.0, "nan", "inf"])
     def test_bad_diagonal_entry_not_positive_definite(self, tmp_path, capsys, entry):

@@ -119,16 +119,17 @@ class TestCheckProp2:
         with pytest.raises(ValueError):
             check_prop2([1, 1], 0, master_seed=1)
 
-    @pytest.mark.parametrize("dims", [[1.5, 2], ["2", "1"], [2, math.inf], [2.0, 1]])
+    @pytest.mark.parametrize("dims", [[1.5, 2], ["2", "1"], [2, math.inf], [2, math.nan],
+                                      [True, 2], [np.True_, 2]])
     def test_non_integral_block_dims_rejected(self, dims):
         # Not truncated to a structure the caller did not ask for.
         with pytest.raises(ValueError, match="block dims must be integers"):
             check_prop2(dims, 3, 1)
 
-    def test_numpy_integer_block_dims_accepted(self):
-        dims = np.array([2, 1])
+    @pytest.mark.parametrize("dims", [np.array([2, 1]), [2.0, 1], [np.int32(2), np.float64(1.0)],
+                                      iter([2, 1])], ids=["array", "float", "numpy", "iterator"])
+    def test_integral_block_dims_accepted(self, dims):
         assert check_prop2(dims, 3, 1) == check_prop2([2, 1], 3, 1)
-        assert check_prop2([np.int32(1), 2], 3, 1).config_digest.startswith("prop=p2 blocks=1x2 ")
 
     def test_reproducible(self):
         a = check_prop2([1, 2], 100, master_seed=4)

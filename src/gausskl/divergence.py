@@ -68,7 +68,7 @@ def _diagonal_sum(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     # kl_gaussian over (T, m, m) stacks of factors, one value per slice.
     (t, m, _), b = lx.shape, _SOLVE_BLOCK
-    dx, dy = np.diagonal(lx, axis1=1, axis2=2), np.diagonal(ly, axis1=1, axis2=2)
+    dx, dy = np.diagonal(lx, axis1=1, axis2=2).copy(), np.diagonal(ly, axis1=1, axis2=2).copy()
     a = lx / dx[:, None, :]
     # Each nt slice is M's C-ordered transpose.  M is zero above its diagonal, so
     # block j:k is solved against Lx[j:, j:] on rows j: (C-ordered; block 0 is nt's
@@ -137,12 +137,12 @@ def diagonal_lower_bound(lx: DiagSpectrum, sy: SpdMatrix) -> Nats:
     """Lower bound on KL(y || x) for Gaussian x with diagonal covariance lx.
 
     Only the diagonal of sy enters: the bound is the per-coordinate scalar
-    divergence sum built from sy's diagonal terms.  It holds for every
+    divergence sum built from sy's stored ``variances``.  It holds for every
     distribution y with covariance sy, not just Gaussian y.
     """
     if lx.dim != sy.dim:
         raise DimensionMismatch(f"spectrum dim {lx.dim} != matrix dim {sy.dim}")
-    return float(_diagonal_sum(lx.variances, np.diag(sy.entries)))
+    return float(_diagonal_sum(lx.variances, sy.variances))
 
 
 def kl_gap_diagonal(lx: DiagSpectrum, sy: SpdMatrix) -> GapReport:
@@ -150,14 +150,14 @@ def kl_gap_diagonal(lx: DiagSpectrum, sy: SpdMatrix) -> GapReport:
 
     The gap does not depend on lx: it is the total correlation of y,
     0.5 * (sum ln Sy_ii - ln det Sy) (Hadamard's inequality), summed here as
-    ln(sqrt(Sy_ii) / L_ii) over the stored factor L of sy.  LAPACK computes
-    each pivot as sqrt(Sy_ii - s) with s >= 0, so every term is >= 0 in
-    floating point: the gap is never negative, and +0.0 for a diagonal sy.
-    O(m) given sy, but each term is accurate to eps only absolute: correlations
-    weaker than ~1e-8 round out of the pivots and are lost.
+    ln(sqrt(Sy_ii) / L_ii) over sy's ``variances`` and ``pivots`` (L's diagonal).
+    LAPACK computes each pivot as sqrt(Sy_ii - s) with s >= 0, so every term is
+    >= 0 in floating point: the gap is never negative, and +0.0 for a diagonal
+    sy.  O(m), reading no m x m array, but each term is accurate to eps only
+    absolute: correlations weaker than ~1e-8 round out of the pivots and are lost.
     """
     bound = diagonal_lower_bound(lx, sy)
-    gap = float(np.sum(np.log(np.sqrt(np.diag(sy.entries)) / np.diag(sy.lower))))
+    gap = float(np.sum(np.log(np.sqrt(sy.variances) / sy.pivots)))
     return GapReport(kl_exact=bound + gap, bound=bound, gap=gap)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
-from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certify, _diag_lower,
+from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certify, _check_dim, _diag_lower,
                      _random_symmetric, validate_spd)
 
 CLOSED_FORM_TOL = 1e-10
@@ -161,6 +161,7 @@ def _block_dims(block_dims: Sequence[int]) -> list[int]:
     dims = [int(d) for d in raw]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"need at least two positive block dims, got {dims}")
+    _check_dim(sum(dims))  # before any block is drawn
     return dims
 
 

@@ -82,18 +82,20 @@ class SpdMatrix:
     Two routes build one: :func:`validate_spd` factors, and
     :meth:`DiagSpectrum.as_matrix` takes a spectrum's square roots.
     ``lower`` is the lower-triangular Cholesky factor (``lower @ lower.T``
-    reconstructs ``entries``) and ``log_det`` the log-determinant,
-    ``2 * sum(log(diag(lower)))``.  Both arrays are read-only.
+    reconstructs ``entries``), ``variances`` and ``pivots`` contiguous copies of
+    their diagonals, and ``log_det`` is ``2 * sum(log(pivots))``.  All are read-only.
     """
 
     dim: int
     entries: np.ndarray
     lower: np.ndarray
     log_det: float
+    variances: np.ndarray
+    pivots: np.ndarray
 
     def diagonal(self) -> "DiagSpectrum":
         """The diagonal variances as a spectrum (always positive for SPD)."""
-        return DiagSpectrum.from_variances(np.diag(self.entries))
+        return DiagSpectrum(dim=self.dim, variances=self.variances)
 
 
 @dataclass(frozen=True)
@@ -184,11 +186,13 @@ def _certify(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
-    # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.
-    entries.flags.writeable = False
-    lower.flags.writeable = False
-    log_det = 2.0 * float(np.sum(np.log(np.diag(lower))))
-    return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, log_det=log_det)
+    # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Their
+    # diagonals are copied while in cache: a cold strided gather reads a page per entry.
+    variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower).copy()
+    for a in (entries, lower, variances, pivots):
+        a.flags.writeable = False
+    return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, variances=variances,
+                     pivots=pivots, log_det=2.0 * float(np.sum(np.log(pivots))))
 
 
 def _block_stack(parts: list[np.ndarray]) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""Print the 93-line report set: the bit-identity gate for campaign reports, kl_gaussian and the CLI.
+"""Print the 145-line report set: the bit-identity gate for campaign reports, kernels and the CLI.
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
 differing line (``-`` saved, ``+`` now) with the fields that differ and
-|Δ| of its value (``worst_margin``, ``kl`` or ``kl_nats``; inf for a ``gen`` line), then
+|Δ| of its value (``worst_margin``, ``kl``, ``kl_nats``, ``kl_exact``, ``bound`` or
+``value``; inf for a ``gen`` line), then
 a summary line naming every differing proposition, kernel or command and field with the largest |Δ|, and
 exits 1 if any differs:
 
@@ -24,7 +25,13 @@ written by the ``gen`` command, dense at condition target 100 and
 8 lines are the results of the ``kl`` command on files written by
 ``write_matrix_csv``: at m = 1, 8, 64 and 512, one subject drawn at condition
 target 100 against a dense and a diagonal reference, from seeds derived from
-7.  It takes a few seconds.  pytest does not collect this file.
+7.  The next 40 lines are the O(m) kernels on the ``kl_gaussian`` subjects
+against their diagonal references' spectra: ``diagonal_lower_bound``, then
+``kl_gap_diagonal``'s ``bound``, ``gap`` and ``kl_exact``, per pair.  The last
+12 lines are ``mc_kl``'s ``value`` and ``std_error`` for the four pairings of
+a Gaussian and a matched mixture as subject and reference, at dims 1, 3 and 8
+and n = 10007 (not a multiple of its 8192-draw block), from seeds derived
+from 7.  It takes a few seconds.  pytest does not collect this file.
 """
 
 import argparse
@@ -38,8 +45,9 @@ import sys
 import tempfile
 from itertools import zip_longest
 
-from gausskl import (check_c1, check_prop1, check_prop2, check_prop3, derive_seed, kl_gaussian,
-                     random_diag_spectrum, random_spd, write_matrix_csv)
+from gausskl import (GaussianModel, build_matched_mixture, check_c1, check_prop1, check_prop2,
+                     check_prop3, derive_seed, diagonal_lower_bound, kl_gap_diagonal, kl_gaussian,
+                     mc_kl, random_diag_spectrum, random_spd, write_matrix_csv)
 from gausskl.cli import main as cli_main
 
 MASTER_SEED = 7
@@ -53,7 +61,10 @@ KL_COND = 100.0
 GEN_DIMS = (1, 8, 64, 512)
 GEN_FLAGS = (("--cond", "100"), ("--diagonal",))
 CLI_KL_DIMS = (1, 8, 64, 512)
-VALUES = ("worst_margin", "kl", "kl_nats")  # the hex-written value of a line
+MC_KL_DIMS = (1, 3, 8)
+MC_KL_SAMPLES = 10_007
+# The hex-written value of a line, by the first of these keys it has.
+VALUES = ("worst_margin", "kl", "kl_nats", "kl_exact", "bound", "value")
 
 
 def reports():
@@ -67,15 +78,44 @@ def reports():
             yield check(5, dim, MASTER_SEED, 10_000)
 
 
-def kl_values():
+def kl_subjects():
+    # (dim, pair, subject, dense reference, diagonal reference's spectrum)
     for dim in KL_DIMS:
         for pair in range(KL_PAIRS):
-            sy = random_spd(dim, derive_seed(MASTER_SEED, 3 * pair), KL_COND)
-            dense = random_spd(dim, derive_seed(MASTER_SEED, 3 * pair + 1), KL_COND)
-            diagonal = random_diag_spectrum(dim, derive_seed(MASTER_SEED, 3 * pair + 2)).as_matrix()
-            for reference, sx in (("dense", dense), ("diagonal", diagonal)):
-                yield {"kernel": "kl_gaussian", "dim": dim, "pair": pair,
-                       "reference": reference, "kl": kl_gaussian(sx, sy).hex()}
+            yield (dim, pair, random_spd(dim, derive_seed(MASTER_SEED, 3 * pair), KL_COND),
+                   random_spd(dim, derive_seed(MASTER_SEED, 3 * pair + 1), KL_COND),
+                   random_diag_spectrum(dim, derive_seed(MASTER_SEED, 3 * pair + 2)))
+
+
+def kl_values():
+    for dim, pair, sy, dense, spectrum in kl_subjects():
+        for reference, sx in (("dense", dense), ("diagonal", spectrum.as_matrix())):
+            yield {"kernel": "kl_gaussian", "dim": dim, "pair": pair,
+                   "reference": reference, "kl": kl_gaussian(sx, sy).hex()}
+
+
+def diagonal_values():
+    for dim, pair, sy, _, spectrum in kl_subjects():
+        yield {"kernel": "diagonal_lower_bound", "dim": dim, "pair": pair,
+               "bound": diagonal_lower_bound(spectrum, sy).hex()}
+        rep = kl_gap_diagonal(spectrum, sy)
+        yield {"kernel": "kl_gap_diagonal", "dim": dim, "pair": pair,
+               **{key: getattr(rep, key).hex() for key in ("bound", "gap", "kl_exact")}}
+
+
+def mc_kl_values():
+    for dim in MC_KL_DIMS:
+        seed = derive_seed(MASTER_SEED, 100 + dim)
+        models = []
+        for k in range(2):
+            target = random_spd(dim, derive_seed(seed, k), KL_COND)
+            models.append((GaussianModel(target), build_matched_mixture(target, 0.3, 0.6)))
+        for y_name, py in zip(("gaussian", "mixture"), models[0]):
+            for x_name, px in zip(("gaussian", "mixture"), models[1]):
+                est = mc_kl(py, px, MC_KL_SAMPLES, derive_seed(seed, 2))
+                yield {"kernel": "mc_kl", "dim": dim, "y": y_name, "x": x_name,
+                       "n": MC_KL_SAMPLES, "value": est.value.hex(),
+                       "std_error": est.std_error.hex()}
 
 
 def gen_hashes():
@@ -120,6 +160,10 @@ def lines():
     for line in gen_hashes():
         yield json.dumps(line)
     for line in cli_kl_results():
+        yield json.dumps(line)
+    for line in diagonal_values():
+        yield json.dumps(line)
+    for line in mc_kl_values():
         yield json.dumps(line)
 
 

@@ -398,8 +398,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flags", [("--dim", "1"), ("--dim", "2", "--blocks", "2,x"),
                                        ("--dim", "2", "--blocks", "0,2"),
-                                       ("--dim", "2", "--blocks", "5")],
-                             ids=["dim1", "bad-blocks", "zero-block", "one-block"])
+                                       ("--dim", "2", "--blocks", "5"),
+                                       ("--dim", "2", "--blocks", "300,300")],
+                             ids=["dim1", "bad-blocks", "zero-block", "one-block", "oversize"])
     def test_all_rejects_bad_blocks_before_any_campaign(self, capsys, monkeypatch, flags):
         import gausskl.cli as cli_mod
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -335,6 +336,20 @@ class TestKlGapDiagonal:
             assert rep.gap >= 0.0
             assert abs(rep.gap - total_correlation(sy.entries)) <= CLOSED_FORM_TOL
             assert kl_gap_diagonal(lx, validate_spd(np.diag(np.diag(sy.entries)))).gap == 0.0
+
+    @pytest.mark.parametrize("m", [1, 8, 65, 512])
+    def test_o_m_kernels_read_no_matrix(self, m):
+        # The bound, the gap and diagonal() read only the certified diagonals,
+        # so NaN-filled m x m arrays leave every bit of them unchanged.
+        lx = random_diag_spectrum(m, derive_seed(m, 12))
+        sy = random_spd(m, derive_seed(m, 13), 100.0)
+        nan = np.full((m, m), np.nan)
+        blind = dataclasses.replace(sy, entries=nan, lower=nan)
+        rep, rep_blind = kl_gap_diagonal(lx, sy), kl_gap_diagonal(lx, blind)
+        for field in ("kl_exact", "bound", "gap"):
+            assert getattr(rep_blind, field).hex() == getattr(rep, field).hex()
+        assert diagonal_lower_bound(lx, blind).hex() == diagonal_lower_bound(lx, sy).hex()
+        assert blind.diagonal().variances.tobytes() == sy.diagonal().variances.tobytes()
 
 
 class TestStackedKernels:

@@ -92,6 +92,21 @@ class TestLogDensity:
             np.testing.assert_array_equal(model.log_density_batch(np.array([[1.5e308, 0.0]])),
                                           [-np.inf])
 
+    @pytest.mark.parametrize("build", [GaussianModel,
+                                       lambda cov: build_matched_mixture(cov, 0.3, 0.7)],
+                             ids=["gaussian", "mixture"])
+    def test_in_place_kernel_leaves_caller_arrays_alone(self, build):
+        # The densities are formed in place, but never in the caller's points or q.
+        model = build(random_spd(3, 5, 100.0))
+        points = np.random.default_rng(5).standard_normal((1000, 3))
+        q = np.geomspace(1e-6, 1e6, 1000)
+        kept_points, kept_q = points.tobytes(), q.tobytes()
+        batch, density = model.log_density_batch(points), model._log_density(q)
+        assert points.tobytes() == kept_points and q.tobytes() == kept_q
+        assert model.log_density_batch(points).tobytes() == batch.tobytes()
+        assert model._log_density(q).tobytes() == density.tobytes()
+        assert points.tobytes() == kept_points and q.tobytes() == kept_q
+
     @pytest.mark.parametrize("w", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("spread", [1e-6, 0.3, 0.9, 1 - 1e-6])
     def test_mixture_log_sum_matches_logaddexp(self, w, spread):

@@ -119,6 +119,14 @@ class TestCheckProp2:
         with pytest.raises(ValueError):
             check_prop2([1, 1], 0, master_seed=1)
 
+    def test_oversize_total_rejected_before_any_draw(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a block was drawn before the total dim was checked")
+
+        monkeypatch.setattr(harness, "_random_symmetric", never)
+        with pytest.raises(ValueError, match="dimension 600 exceeds supported maximum 512"):
+            check_prop2([300, 300], 3, 1)
+
     @pytest.mark.parametrize("dims", [[1.5, 2], ["2", "1"], [2, math.inf], [2, math.nan],
                                       [True, 2], [np.True_, 2]])
     def test_non_integral_block_dims_rejected(self, dims):

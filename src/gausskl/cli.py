@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .divergence import diagonal_lower_bound, kl_gaussian
+from .divergence import kl_gap_diagonal, kl_gaussian
 from .errors import GaussKlError
 from .harness import (
     _block_dims,
@@ -88,10 +88,8 @@ def _cmd_kl(args) -> int:
     sx, diagonal = _read_spd(args.x)
     sy, _ = _read_spd(args.y)
     if diagonal:
-        # KL = bound + KL(y || diag Sy): two relative-accurate sums of terms >= 0.
-        bound = diagonal_lower_bound(sx.diagonal(), sy)
-        gap = kl_gaussian(sy.diagonal().as_matrix(), sy)
-        results = {"kl_nats": bound + gap, "bound_nats": bound, "gap_nats": gap}
+        rep = kl_gap_diagonal(sx.diagonal(), sy)
+        results = {"kl_nats": rep.kl_exact, "bound_nats": rep.bound, "gap_nats": rep.gap}
     else:
         results = {"kl_nats": kl_gaussian(sx, sy)}
     for key, value in results.items():

@@ -149,15 +149,15 @@ def kl_gap_diagonal(lx: DiagSpectrum, sy: SpdMatrix) -> GapReport:
     """Gaussian divergence against a diagonal reference, and its bound gap.
 
     The gap does not depend on lx: it is the total correlation of y,
-    0.5 * (sum ln Sy_ii - ln det Sy) (Hadamard's inequality), summed here as
-    ln(sqrt(Sy_ii) / L_ii) over sy's ``variances`` and ``pivots`` (L's diagonal).
-    LAPACK computes each pivot as sqrt(Sy_ii - s) with s >= 0, so every term is
-    >= 0 in floating point: the gap is never negative, and +0.0 for a diagonal
-    sy.  O(m), reading no m x m array, but each term is accurate to eps only
-    absolute: correlations weaker than ~1e-8 round out of the pivots and are lost.
+    0.5 * (sum ln Sy_ii - ln det Sy) (Hadamard's inequality).  As
+    Sy_ii = L_ii^2 + sum_{j<i} L_ij^2, it is summed here as
+    0.5 * sum log1p(off_squares_i / L_ii^2) over sy's ``off_squares`` and
+    ``pivots`` (L's diagonal): every term is >= 0 and relative-accurate, so
+    correlations far below eps are kept, and the gap is +0.0 for a diagonal sy.
+    O(m), reading no m x m array.
     """
     bound = diagonal_lower_bound(lx, sy)
-    gap = float(np.sum(np.log(np.sqrt(sy.variances) / sy.pivots)))
+    gap = 0.5 * float(np.sum(np.log1p(sy.off_squares / sy.pivots ** 2)))
     return GapReport(kl_exact=bound + gap, bound=bound, gap=gap)
 
 

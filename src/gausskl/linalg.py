@@ -79,11 +79,11 @@ def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class SpdMatrix:
     """A certified symmetric positive-definite covariance matrix.
 
-    Two routes build one: :func:`validate_spd` factors, and
-    :meth:`DiagSpectrum.as_matrix` takes a spectrum's square roots.
-    ``lower`` is the lower-triangular Cholesky factor (``lower @ lower.T``
-    reconstructs ``entries``), ``variances`` and ``pivots`` contiguous copies of
-    their diagonals, and ``log_det`` is ``2 * sum(log(pivots))``.  All are read-only.
+    Two routes build one: :func:`validate_spd` factors, and :meth:`DiagSpectrum.as_matrix`
+    takes a spectrum's square roots.  ``lower`` is the lower-triangular Cholesky factor
+    (``lower @ lower.T`` reconstructs ``entries``), ``variances`` and ``pivots`` contiguous
+    copies of their diagonals, ``off_squares[i]`` the sum of ``lower[i, :i]**2``, and
+    ``log_det`` is ``2 * sum(log(pivots))``.  All are read-only.
     """
 
     dim: int
@@ -92,6 +92,7 @@ class SpdMatrix:
     log_det: float
     variances: np.ndarray
     pivots: np.ndarray
+    off_squares: np.ndarray
 
     def diagonal(self) -> "DiagSpectrum":
         """The diagonal variances as a spectrum (always positive for SPD)."""
@@ -186,13 +187,17 @@ def _certify(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
-    # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Their
-    # diagonals are copied while in cache: a cold strided gather reads a page per entry.
+    # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Its vectors are
+    # taken while in cache.  The row sums skip lower's diagonal by zeroing it, not by cancelling.
     variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower).copy()
-    for a in (entries, lower, variances, pivots):
+    np.einsum("ii->i", lower)[...] = 0.0
+    off_squares = np.einsum("ij,ij->i", lower, lower)
+    np.einsum("ii->i", lower)[...] = pivots
+    for a in (entries, lower, variances, pivots, off_squares):
         a.flags.writeable = False
     return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, variances=variances,
-                     pivots=pivots, log_det=2.0 * float(np.sum(np.log(pivots))))
+                     pivots=pivots, off_squares=off_squares,
+                     log_det=2.0 * float(np.sum(np.log(pivots))))
 
 
 def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
@@ -249,14 +254,15 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless CSV matrix file into a raw (unvalidated) array.
 
-    One row per line, comma-separated decimal entries, read by numpy's
-    ``loadtxt``.  Whitespace-only lines are ignored.  Raises MatrixParseError
-    on empty, ragged, or non-numeric input (underscore numerals included).
+    One row per line, comma-separated decimal entries; whitespace-only lines are ignored.
+    More than ``MAX_DIM`` rows raise ValueError before numpy's ``loadtxt`` parses any.
+    Empty, ragged or non-numeric input (underscore numerals included) raises MatrixParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line for line in fh if line.strip()]
     if not rows:
         raise MatrixParseError(f"{path}: no numeric rows found")
+    _check_dim(len(rows))
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:

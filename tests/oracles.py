@@ -81,6 +81,21 @@ def kl_mpmath(sx, sy, dps: int = 60) -> float:
         return float((trace - ratio.rows - mpmath.log(mpmath.det(y)) + mpmath.log(mpmath.det(x))) / 2)
 
 
+def weakly_correlated(m: int, rho: float, seed: int) -> np.ndarray:
+    """A subject covariance with variances over e^+-3 and correlations rho * U(-1, 1).
+
+    Exactly symmetric; its correlations round out of the pivots of its
+    Cholesky factor once rho is below about 1e-8.
+    """
+    rng = np.random.default_rng(seed)
+    v = np.exp(rng.uniform(-3.0, 3.0, m))
+    r = np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1)
+    s = np.sqrt(v)
+    sy = rho * (r + r.T) * s[:, None] * s[None, :]
+    sy[np.diag_indices(m)] = v
+    return sy
+
+
 def excess_series(u: float) -> float:
     """u - ln(1 + u) by its alternating Taylor series, for |u| <= 2**-10."""
     assert abs(u) <= 2.0 ** -10

@@ -9,9 +9,9 @@ import pytest
 
 import gausskl
 from gausskl.cli import main
-from gausskl import (derive_seed, kl_gaussian, random_diag_spectrum, random_spd,
+from gausskl import (derive_seed, divergence, kl_gaussian, random_diag_spectrum, random_spd,
                      read_matrix_csv, validate_spd, write_matrix_csv)
-from oracles import kl_mpmath
+from oracles import kl_mpmath, weakly_correlated
 
 
 def run(capsys, *argv):
@@ -155,10 +155,13 @@ class TestKlDiagonalReference:
         for path, diagonal, seed in ((x, x_diagonal, 1), (y, y_diagonal, 2)):
             s = random_diag_spectrum(6, seed).as_matrix() if diagonal else random_spd(6, seed, 10.0)
             write_matrix_csv(path, s.entries)
-        calls = count_factored(monkeypatch)
+        calls, solves, kl = count_factored(monkeypatch), [], divergence._kl
+        # A diagonal reference is scored by kl_gap_diagonal alone: nothing is solved for it.
+        monkeypatch.setattr(divergence, "_kl", lambda lx, ly: solves.append(1) or kl(lx, ly))
         code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
         assert code == 0
         assert sum(calls) == factored
+        assert len(solves) == (0 if x_diagonal else 1)
         assert ("bound_nats" in json.loads(out)["results"]) == x_diagonal
 
     def test_divergence_is_bound_plus_gap(self, tmp_path, capsys):
@@ -175,22 +178,11 @@ class TestKlDiagonalReference:
                 assert r["kl_nats"] == r["bound_nats"] + r["gap_nats"], (m, seed)
                 assert r["kl_nats"] >= r["bound_nats"], (m, seed)
 
-    @staticmethod
-    def weakly_correlated(m, rho, seed):
-        # Variances spread over e^+-3, correlations rho * U(-1, 1): exactly symmetric.
-        rng = np.random.default_rng(seed)
-        v = np.exp(rng.uniform(-3.0, 3.0, m))
-        r = np.triu(rng.uniform(-1.0, 1.0, (m, m)), 1)
-        s = np.sqrt(v)
-        sy = rho * (r + r.T) * s[:, None] * s[None, :]
-        sy[np.diag_indices(m)] = v
-        return sy
-
     def test_divergence_and_gap_match_mpmath(self, tmp_path, capsys):
         # Weak correlations live in sy's off-diagonal factor entries, not in its
         # pivots: the report must keep them, as accurately as kl_gaussian does.
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
-        subjects = [self.weakly_correlated(m, rho, seed) for m in (2, 3, 5, 8)
+        subjects = [weakly_correlated(m, rho, seed) for m in (2, 3, 5, 8)
                     for rho in (1e-2, 1e-4, 1e-9) for seed in range(2)]
         subjects += [random_spd(m, derive_seed(3, m), 1e4).entries for m in (2, 3, 5, 8)]
         for i, sy in enumerate(subjects):
@@ -227,11 +219,16 @@ class TestKlDiagonalReference:
         assert code == 2
         assert "NotPositiveDefinite" in err
 
-    def test_oversize_identity_value_error(self, tmp_path, capsys):
-        # Rejected before the subject is read, as a dense reference is.
+    def test_oversize_identity_value_error(self, tmp_path, capsys, monkeypatch):
+        # Rejected by its row count before it is parsed, and before the subject is read.
         x, y = tmp_path / "x.csv", tmp_path / "y.csv"
         write_matrix_csv(x, np.eye(513))
         write_csv(y, [[1, 0], [0, 1]])
+
+        def never(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on an oversize file")
+
+        monkeypatch.setattr(np, "loadtxt", never)
         code, _, err = run(capsys, "kl", "--x", str(x), "--y", str(y))
         assert code == 2
         assert "error: ValueError: " in err and "maximum 512" in err

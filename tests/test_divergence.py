@@ -25,8 +25,8 @@ from gausskl import divergence
 from gausskl.harness import CLOSED_FORM_TOL, derive_seed
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_determinant_route, kl_factors_reference, kl_scalar_quad,
-                     total_correlation)
+                     kl_determinant_route, kl_factors_reference, kl_mpmath, kl_scalar_quad,
+                     total_correlation, weakly_correlated)
 
 
 def spectrum(*variances):
@@ -336,6 +336,23 @@ class TestKlGapDiagonal:
             assert rep.gap >= 0.0
             assert abs(rep.gap - total_correlation(sy.entries)) <= CLOSED_FORM_TOL
             assert kl_gap_diagonal(lx, validate_spd(np.diag(np.diag(sy.entries)))).gap == 0.0
+
+    def test_gap_matches_mpmath(self):
+        # Weak correlations live in the factor's off-diagonal entries, not in its
+        # pivots: the gap keeps them, relative to the 60-digit total correlation.
+        subjects = [weakly_correlated(m, rho, seed) for m in (2, 3, 5, 8, 16)
+                    for rho in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9) for seed in range(2)]
+        subjects += [random_spd(m, derive_seed(seed, m), cond).entries for m in (2, 3, 5, 8, 16)
+                     for cond in (1e2, 1e4) for seed in range(2)]
+        for i, sy in enumerate(subjects):
+            m = len(sy)
+            gap = kl_gap_diagonal(random_diag_spectrum(m, derive_seed(5, i)), validate_spd(sy)).gap
+            gap_true = kl_mpmath(np.diag(np.diag(sy)), sy)
+            assert abs(gap - gap_true) <= 1e-14 * gap_true, i
+
+        # L22 = sqrt(1 - 1e-18) rounds to 1: only L21 carries the correlation.
+        rep = kl_gap_diagonal(spectrum(1, 1), validate_spd([[1.0, 1e-9], [1e-9, 1.0]]))
+        assert rep.gap == rep.kl_exact == pytest.approx(5e-19, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_o_m_kernels_read_no_matrix(self, m):

@@ -310,19 +310,25 @@ class TestDiagSpectrum:
             assert fast.lower.tobytes() == dense.lower.tobytes()
             assert fast.variances.tobytes() == dense.variances.tobytes()
             assert fast.pivots.tobytes() == dense.pivots.tobytes()
+            assert fast.off_squares.tobytes() == dense.off_squares.tobytes()
             assert fast.log_det.hex() == dense.log_det.hex()
             assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_certified_diagonals(self, m):
         # variances and pivots are read-only contiguous copies of the two
-        # diagonals, and log_det keeps the bits of the sum over diag(lower).
+        # diagonals, off_squares the strict-lower row sums of squares of lower,
+        # and log_det keeps the bits of the sum over diag(lower).  Taking the
+        # row sums leaves lower numpy's factor, bit for bit.
         v = np.exp(np.random.default_rng(m).uniform(-30.0, 30.0, size=m))
         dense, diagonal = random_spd(m, m, 1e4).entries, DiagSpectrum.from_variances(v)
         for a in (validate_spd(dense), diagonal.as_matrix()):
+            assert a.lower.tobytes() == np.linalg.cholesky(a.entries).tobytes()
             assert a.variances.tobytes() == np.diag(a.entries).tobytes()
             assert a.pivots.tobytes() == np.diag(a.lower).tobytes()
-            for vector in (a.variances, a.pivots):
+            strict = np.tril(a.lower, -1)
+            assert a.off_squares.tobytes() == np.einsum("ij,ij->i", strict, strict).tobytes()
+            for vector in (a.variances, a.pivots, a.off_squares):
                 assert vector.flags.c_contiguous and not vector.flags.writeable
             assert a.log_det.hex() == (2.0 * float(np.sum(np.log(np.diag(a.lower))))).hex()
 

@@ -35,7 +35,7 @@ Nats = float
 
 LN_2PI = math.log(2.0 * math.pi)
 
-_SOLVE_BLOCK = 64  # columns of M per triangular solve in _kl
+_SOLVE_BLOCK = 64  # rows of N per block in _kl
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,28 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     # kl_gaussian over (T, m, m) stacks of factors, one value per slice.
     (t, m, _), b = lx.shape, _SOLVE_BLOCK
     dx, dy = np.diagonal(lx, axis1=1, axis2=2).copy(), np.diagonal(ly, axis1=1, axis2=2).copy()
-    a = lx / dx[:, None, :]
-    # Each nt slice is M's C-ordered transpose.  M is zero above its diagonal, so
-    # block j:k is solved against Lx[j:, j:] on rows j: (C-ordered; block 0 is nt's
-    # own first rows), by linalg.solve_triangular's call (a.T, trans=1) with a unit diagonal.
+    # Each nt slice is N's C-ordered transpose, N = a^-1 b for the column-normalized
+    # a = Lx / dx, b = Ly / dy (M is N scaled by dy / dx).  Row block i:k solves
+    # a[i:k, i:k] N[i:k, :k] = b[i:k, :k] - a[i:k, :i] N[:i, :k] by linalg.solve_triangular's
+    # call (a.T, trans=1) with a unit diagonal, the product one matmul per nonzero tile of nt.
     nt = np.zeros(ly.shape)
     with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
-        for j in range(0, m, b):
-            k = min(j + b, m)
-            rows = nt[:, :k] if j == 0 else np.empty((t, k - j, m - j))
-            np.divide(ly[:, j:, j:k].swapaxes(1, 2), dy[:, j:k, None], out=rows)
-            for a_s, r in zip(a[:, j:, j:], rows):
-                dtrtrs(a_s.T, r.T, lower=0, trans=1, unitdiag=1, overwrite_b=1)
-            rows *= dy[:, j:k, None]  # finite scalings keep a zero entry zero (no 0 * inf)
-            rows /= dx[:, None, j:]
-            if j:
-                nt[:, j:k, j:] = rows
+        for i in range(0, m, b):
+            k = min(i + b, m)
+            a = lx[:, i:k, :k] / dx[:, None, :k]
+            w = nt if k - i == m else np.empty((t, k, k - i))  # C-ordered, so dtrtrs writes w.T
+            np.divide(ly[:, i:k, :k].swapaxes(1, 2), dy[:, :k, None], out=w)
+            for r in range(0, i, b):  # nt is upper: tile r is zero left of column r
+                w[:, r:r + b] -= nt[:, r:r + b, r:i] @ a[:, :, r:i].swapaxes(1, 2)
+            for a_s, w_s in zip(a[:, :, i:], w):
+                dtrtrs(a_s.T, w_s.T, lower=0, trans=1, unitdiag=1, overwrite_b=1)
+            nt[:, :k, i:k] = w
+        nt *= dy[:, :, None]  # finite scalings keep a zero entry zero (no 0 * inf)
+        nt /= dx[:, None, :]
         u = (dy - dx) / dx * (dy / dx + 1.0)
-    off = nt.reshape(t, -1)  # each row is M in column-major order
-    off[:, ::m + 1] = 0.0  # the strict lower part of M
-    squares = (off[:, None, :] @ off[:, :, None])[:, 0, 0]  # one BLAS dot per slice
+        off = nt.reshape(t, -1)  # each row is M in column-major order
+        off[:, ::m + 1] = 0.0  # the strict lower part of M
+        squares = (off[:, None, :] @ off[:, :, None])[:, 0, 0]  # one BLAS dot per slice
     return 0.5 * (squares + _excess(u, 2.0 * (np.log(dy) - np.log(dx))).sum(axis=-1))
 
 
@@ -123,10 +125,10 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     u_i = M_ii^2 - 1 = ((dy_i - dx_i) / dx_i) (dy_i / dx_i + 1) for the
     factor diagonals dx, dy.  Every term is >= 0 in floating point.  The strict
     lower part of M comes from unit-diagonal solves of the column-normalized
-    factors, which never divide: sx == sy gives +0.0.  M is solved 64 columns
-    at a time, block j:j+64 against Lx[j:, j:] on rows j:, about m^3/3 flops
-    in all; for m <= 64 that is one solve.  An overflowing pivot ratio
-    dy_i / dx_i gives +inf, never NaN.
+    factors, which never divide: sx == sy gives +0.0.  M is solved 64 rows at
+    a time, a GEMM over the nonzero tiles of the rows above and one solve on
+    the 64 x 64 diagonal block: about m^3/3 flops, one solve for m <= 64.  An
+    overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")

@@ -194,7 +194,7 @@ def mc_kl(py: DensityModel, px: DensityModel, n: int, seed: int) -> McEstimate:
     log_ratio = np.empty(n)
     for start in range(0, n, _BLOCK):
         z = rng.standard_normal((min(_BLOCK, n - start), py.dim)).T
-        qy, qx = _sum_squares(z), _sum_squares(whiten @ z)
+        qy, qx = _sum_squares(z), _sum_squares(z * whiten[0, 0] if py.dim == 1 else whiten @ z)
         if scales is not None:  # each draw's component scale; a Gaussian's is 1
             s = scales.take(pick_one[start:start + _BLOCK].view(np.uint8))
             qy *= s

@@ -116,19 +116,49 @@ def diagonal_sum_reference(vx, vy) -> float:
 
 
 def kl_factors_reference(lx, ly) -> float:
-    """KL(y || x) from Cholesky factors by the single-matrix formula.
+    """KL(y || x) from Cholesky factors by the single-matrix row-block formula.
 
-    The strict lower part of M = Lx^-1 Ly from scipy ``solve_triangular`` on
-    the column-normalized factors, 64 columns at a time: block j:j+64 against
-    Lx[j:, j:] on rows j: (M is zero above its diagonal).  Its squares are summed by
-    one dot product in column-major order, and the diagonal excess terms by
-    ``np.sum``.  A stacked kernel must reproduce it bit for bit.
+    N = a^-1 b for the column-normalized factors a = Lx / dx and b = Ly / dy,
+    64 rows at a time: rows i:i+64 of b less numpy matmuls of a's rows with
+    N's nonzero 64-column tiles above (N is zero above its diagonal), then
+    scipy ``solve_triangular`` against a[i:i+64, i:i+64].  M = Lx^-1 Ly is N
+    scaled by dy / dx (see ``relative_factor_kl``).  A stacked kernel must
+    reproduce it bit for bit.  BLAS's bits depend on its operands' layouts at
+    partial tiles, so each product is taken as the kernel takes it, as
+    (C-ordered N tile transposed) @ a-rows transposed.
+    """
+    dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
+    a, n = lx / dx, ly / dy
+    for i in range(0, len(a), 64):
+        k = i + 64
+        for r in range(0, i, 64):
+            n[i:k, r:r + 64] -= (np.ascontiguousarray(n[r:i, r:r + 64].T) @ a[i:k, r:i].T).T
+        n[i:k, :k] = solve_triangular(a[i:k, i:k], n[i:k, :k], lower=True,
+                                      unit_diagonal=True, check_finite=False)
+    return relative_factor_kl(n, dx, dy)
+
+
+def kl_factors_column_reference(lx, ly) -> float:
+    """KL(y || x) as ``kl_factors_reference``, with N solved by column blocks.
+
+    Block j:j+64 of N's columns by scipy ``solve_triangular`` against
+    a[j:, j:] on rows j:, so every flop is in the solve.  For m <= 64 both
+    formulas make the same single solve; beyond, they sum in different orders.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
     a, n = lx / dx, ly / dy
     for j in range(0, len(a), 64):
         n[j:, j:j + 64] = solve_triangular(a[j:, j:], n[j:, j:j + 64], lower=True,
                                            unit_diagonal=True, check_finite=False)
+    return relative_factor_kl(n, dx, dy)
+
+
+def relative_factor_kl(n, dx, dy) -> float:
+    """KL(y || x) from N = a^-1 b and the factor diagonals; overwrites n.
+
+    M = N * dy / dx (rows by dx), its strict lower part's squares summed by one
+    dot product in column-major order, and the diagonal excess terms by ``np.sum``.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         n *= dy
         n /= dx[:, None]

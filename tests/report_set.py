@@ -1,4 +1,4 @@
-"""Print the 145-line report set: the bit-identity gate for campaign reports, kernels and the CLI.
+"""Print the report set: the bit-identity gate for campaign reports, kernels and the CLI.
 
 Run from the repository root: once on the reference tree to save its
 output, then with ``--against`` on the changed tree, which prints each
@@ -8,16 +8,27 @@ differing line (``-`` saved, ``+`` now) with the fields that differ and
 a summary line naming every differing proposition, kernel or command and field with the largest |Δ|, and
 exits 1 if any differs:
 
-    PYTHONPATH=src python tests/report_set.py > before.jsonl
-    PYTHONPATH=src python tests/report_set.py --against before.jsonl
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/report_set.py > before.jsonl
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/report_set.py --against before.jsonl
+
+``tests/report_set.golden.jsonl`` is the committed output, and
+``tests/test_report_set.py`` runs the comparison against it: a change that
+moves bits updates the golden file in the same diff.
 
 Each line is JSON, with its value written by ``float.hex`` so a changed bit
-shows.  The first 37 lines are campaign reports: ``check_prop3`` at dims 1-8
+shows.  The first line is a header naming what the bits depend on besides
+the code: the numpy and scipy versions, numpy's OpenBLAS as loaded (its
+configuration line names the kernel core picked for this CPU) and its thread
+count, and scipy's OpenBLAS version.  The hex at m >= 64 and the ``gen``
+hashes move with these, so when the saved header differs from the current
+one, ``--against`` says so and compares only the campaign reports'
+``trials``, ``violations`` and ``config_digest``.  The 145 lines after the
+header follow.  The first 37 are campaign reports: ``check_prop3`` at dims 1-8
 and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over seven
 block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
 (5 trials, n = 10000), all with master seed 7.  Campaign matrices have
 m <= 8, so the next 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
-256 and 512, across the kernel's 64-column solve blocks: four pairs per m
+256 and 512, across the kernel's 64-row blocks: four pairs per m
 drawn at condition target 100 from seeds derived from 7, each against a
 dense and a diagonal reference.  The next 8 lines are the sha256 of files
 written by the ``gen`` command, dense at condition target 100 and
@@ -36,6 +47,8 @@ from 7.  It takes a few seconds.  pytest does not collect this file.
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
 import json
@@ -44,6 +57,9 @@ import os
 import sys
 import tempfile
 from itertools import zip_longest
+
+import numpy as np
+import scipy
 
 from gausskl import (GaussianModel, build_matched_mixture, check_c1, check_prop1, check_prop2,
                      check_prop3, derive_seed, diagonal_lower_bound, kl_gap_diagonal, kl_gaussian,
@@ -65,6 +81,33 @@ MC_KL_DIMS = (1, 3, 8)
 MC_KL_SAMPLES = 10_007
 # The hex-written value of a line, by the first of these keys it has.
 VALUES = ("worst_margin", "kl", "kl_nats", "kl_exact", "bound", "value")
+# The fields of a campaign report line compared across differing headers.
+CAMPAIGN_FIELDS = ("proposition", "trials", "violations", "config_digest")
+
+
+def header() -> dict:
+    config, threads = _openblas()
+    return {"header": "report_set", "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_openblas": config, "openblas_threads": threads,
+            "scipy_openblas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]}
+
+
+def _openblas() -> tuple:
+    # numpy's OpenBLAS as loaded: its configuration line and thread count, read
+    # from the library itself; numpy's build-time line and the environment's
+    # thread setting where the library does not have them.
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "*openblas*")):
+        lib = ctypes.CDLL(path)
+        config = getattr(lib, "scipy_openblas_get_config64_", None)
+        threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if config is not None and threads is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            return config().decode().strip(), threads()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (blas.get("openblas configuration", blas["name"]),
+            os.environ.get("OPENBLAS_NUM_THREADS", "unset"))
 
 
 def reports():
@@ -151,6 +194,7 @@ def cli_kl_results():
 
 
 def lines():
+    yield json.dumps(header())
     for report in reports():
         line = report.as_dict()
         line["worst_margin"] = report.worst_margin.hex()
@@ -178,9 +222,14 @@ def main(argv=None) -> int:
         return 0
     with open(args.against, encoding="utf-8") as fh:
         saved = fh.read().splitlines()
+    now = list(lines())
+    if saved[:1] != now[:1]:
+        print(f"headers differ, so only the campaign reports' trials, violations and "
+              f"config_digest are compared\n- {saved[0] if saved else '(none)'}\n+ {now[0]}")
+        saved, now = ([c for c in map(_campaign_fields, side) if c] for side in (saved, now))
     differing = number = 0
     sources, fields, worst_delta = set(), set(), 0.0
-    for number, (old, new) in enumerate(zip_longest(saved, lines(), fillvalue="(none)"), 1):
+    for number, (old, new) in enumerate(zip_longest(saved, now, fillvalue="(none)"), 1):
         if old != new:
             differing += 1
             changed, delta = _compare(old, new)
@@ -195,6 +244,17 @@ def main(argv=None) -> int:
                     f"{', '.join(sorted(fields))}; max |delta| {worst_delta:.3g})")
     print(summary, file=sys.stderr)
     return 1 if differing else 0
+
+
+def _campaign_fields(line: str) -> str:
+    # A campaign report line cut to CAMPAIGN_FIELDS; "" for any other line.
+    try:
+        fields = json.loads(line)
+    except json.JSONDecodeError:
+        return ""
+    if "proposition" not in fields:
+        return ""
+    return json.dumps({key: fields.get(key) for key in CAMPAIGN_FIELDS})
 
 
 def _source(line: str):

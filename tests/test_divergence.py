@@ -22,11 +22,12 @@ from gausskl import (
     validate_spd,
 )
 from gausskl import divergence
-from gausskl.harness import CLOSED_FORM_TOL, derive_seed
+from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
+from gausskl.linalg import _certify, _random_symmetric
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_determinant_route, kl_factors_reference, kl_mpmath, kl_scalar_quad,
-                     total_correlation, weakly_correlated)
+                     kl_determinant_route, kl_factors_column_reference, kl_factors_reference,
+                     kl_mpmath, kl_scalar_quad, total_correlation, weakly_correlated)
 
 
 def spectrum(*variances):
@@ -132,8 +133,8 @@ class TestKlDiagonal:
 class TestKlGaussian:
     def test_identical_near_zero(self):
         # exactly +0.0: the unit-diagonal solves give M = I bit for bit, the
-        # trailing blocks' solves too (m > 64)
-        for dim in (*range(1, 9), 64, 65, 129, 512):
+        # later row blocks' products and solves too (m > 64)
+        for dim in (*range(1, 9), 64, 65, 129, 130, 512):
             a = random_spd(dim, dim * 11, 100.0)
             for copy in (a, validate_spd(2.0 ** 300 * a.entries),
                          validate_spd(2.0 ** -300 * a.entries)):
@@ -156,7 +157,7 @@ class TestKlGaussian:
 
     @pytest.mark.parametrize("m", [65, 129, 200])
     def test_solve_blocks_against_determinant_route(self, m):
-        # Across the kernel's 64-column solve blocks, against tr(Sx^-1 Sy) and
+        # Across the kernel's 64-row blocks, against tr(Sx^-1 Sy) and
         # LU log-determinants of the stored matrices, for a dense and a
         # diagonal reference.
         sy = random_spd(m, derive_seed(m, 70), 100.0)
@@ -173,14 +174,19 @@ class TestKlGaussian:
         assert kl_gaussian(sx, sy) == pytest.approx(0.3068528194400546, abs=1e-10)
 
     def test_nonnegativity_sweep(self):
-        # 10000 random pairs across dims 1..8
+        # 10000 random pairs across dims 1..8: per dim, the 1250 pairs
+        # random_spd(dim, derive_seed(seed, 2 * dim + k), 100.0), k = 0, 1, drawn,
+        # certified and scored as stacks, with random_spd's and kl_gaussian's
+        # bits, as public calls on every 50th pair show.
         count = 0
-        for seed in range(1250):
-            for dim in range(1, 9):
-                sx = random_spd(dim, derive_seed(seed, 2 * dim), 100.0)
-                sy = random_spd(dim, derive_seed(seed, 2 * dim + 1), 100.0)
-                assert kl_gaussian(sx, sy) >= 0.0
-                count += 1
+        for dim in range(1, 9):
+            seeds = [[derive_seed(seed, 2 * dim + k) for seed in range(1250)] for k in (0, 1)]
+            sx, sy = (_certify(_random_symmetric(dim, _generators(s), 100.0))[1] for s in seeds)
+            values = divergence._kl(sx, sy)
+            assert np.all(values >= 0.0)
+            count += values.size
+            for t in range(0, 1250, 50):
+                assert values[t] == kl_gaussian(*(random_spd(dim, s[t], 100.0) for s in seeds))
         assert count == 10_000
 
     def test_scaled_copy_sweep(self):
@@ -375,7 +381,8 @@ class TestStackedKernels:
     # reference formula (tests/oracles.py), which sums M's squares in
     # column-major order and the diagonal terms left to right.
     @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)]
-                             + [(64, 3), (65, 2), (129, 2), (512, 2)])
+                             + [(64, 3), (65, 2), (128, 2), (129, 2), (130, 2), (200, 2),
+                                (512, 2)])
     def test_stack_equals_single_matrix_calls(self, m, t):
         sx = [random_spd(m, derive_seed(m, i), 1e4) for i in range(t)]
         sy = [random_spd(m, derive_seed(m, t + i), 1e4) for i in range(t)]
@@ -391,6 +398,44 @@ class TestStackedKernels:
         assert [v.hex() for v in sums.tolist()] == [
             diagonal_lower_bound(d, b).hex() for d, b in zip(lx, sy)] == [
             diagonal_sum_reference(d.variances, np.diag(b.entries)).hex() for d, b in zip(lx, sy)]
+
+    @pytest.mark.parametrize("m", [*range(1, 65), 65, 71, 128, 130, 193, 200, 256, 449, 512])
+    def test_row_and_column_references_agree(self, m):
+        # The row-block reference against the column-block one: one and the same
+        # solve for m <= 64; past that they sum in different orders, within 4 ulp
+        # (at most 3 ulp over m = 65..512 in steps of 3, cond 1e2..1e6, 2 pairs).
+        bound = 0 if m <= 64 else 4
+        for i in range(2):
+            sy = random_spd(m, derive_seed(m, 80 + i), 1e4)
+            for sx in (random_spd(m, derive_seed(m, 90 + i), 1e4),
+                       random_diag_spectrum(m, derive_seed(m, 100 + i)).as_matrix()):
+                row = kl_factors_reference(sx.lower, sy.lower)
+                column = kl_factors_column_reference(sx.lower, sy.lower)
+                assert abs(row - column) <= bound * np.spacing(max(row, column)), (row, column)
+
+    def test_overflow_in_the_last_row_block_as_a_stack(self):
+        # m = 130 is three row blocks.  A pivot ratio dy / dx of 1e310 in the last
+        # one, under dense correlations, gives +inf in its own slice with no NaN
+        # and no warning; the other slices keep their single-matrix bits.
+        m = 130
+        sx = random_spd(m, derive_seed(m, 60), 1e4)
+        raw_y = random_spd(m, derive_seed(m, 61), 1e4).entries.copy()
+        raw_y[-1] *= 1e150
+        raw_y[:, -1] *= 1e150
+        tiny_x = sx.entries.copy()
+        tiny_x[-1], tiny_x[:, -1] = 0.0, 0.0
+        tiny_x[-1, -1] = 1e-320
+        sy, tiny = validate_spd(raw_y), validate_spd(tiny_x)
+        pairs = [(sx, sy), (tiny, sy), (sy, sy)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = divergence._kl(np.stack([a.lower for a, _ in pairs]),
+                                    np.stack([b.lower for _, b in pairs]))
+            singles = [kl_gaussian(a, b) for a, b in pairs]
+        assert not np.any(np.isnan(values))
+        assert values[1] == math.inf and math.copysign(1.0, values[2]) == 1.0
+        assert [v.hex() for v in values.tolist()] == [v.hex() for v in singles]
+        assert math.isfinite(values[0]) and values[2] == 0.0
 
     def test_extreme_variance_ratios_as_stacks(self):
         # TestKlGaussian::test_extreme_variance_ratios, one stack per dimension:

@@ -125,14 +125,17 @@ class TestFactoredOnce:
         assert sum(calls) == trials * (2 * len(dims) + 1)
 
     def test_one_triangular_solve_per_divergence(self, monkeypatch):
-        sx, sy = random_spd(4, 8, 100.0), random_spd(4, 9, 100.0)
+        # One solve per 64-row block of M, ceil(m / 64), and no factorization.
+        pairs = [(m, random_spd(m, 8, 100.0), random_spd(m, 9, 100.0)) for m in (4, 130)]
         solves, chols = [], []
         solve, chol = divergence.dtrtrs, np.linalg.cholesky
         monkeypatch.setattr(divergence, "dtrtrs",
                             lambda *a, **k: solves.append(1) or solve(*a, **k))
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
-        kl_gaussian(sx, sy)
-        assert (len(solves), len(chols)) == (1, 0)
+        for m, sx, sy in pairs:
+            solves.clear()
+            kl_gaussian(sx, sy)
+            assert (len(solves), len(chols)) == (-(-m // 64), 0)
 
     def test_monte_carlo_estimate_solves_once_and_forms_no_points(self, monkeypatch):
         # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.

@@ -3,13 +3,13 @@
 Three subcommands:
 
 * ``kl``     -- closed-form divergence between two CSV covariance matrices;
-  an exactly diagonal reference file also gets the diagonal bound and gap.
+  a reference certified as exactly diagonal also gets the diagonal bound and gap.
 * ``verify`` -- run a property campaign and exit 0 (clean) or 1 (violations).
 * ``gen``    -- write a reproducible random SPD (or diagonal) test matrix.
 
 Matrix files are headerless CSV.  Reports are a single JSON object on stdout
 (``kl`` also offers a plain-text format).  Exit codes: 0 success/verified,
-1 inequality violation found, 2 invalid input.
+1 inequality violation found, 2 invalid input or a request too large for memory.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .harness import (
     check_prop3,
     random_diag_spectrum,
 )
-from .linalg import (DiagSpectrum, SpdMatrix, _check_condition, random_spd, read_matrix_csv,
-                     validate_spd, write_matrix_csv)
+from .linalg import _check_condition, random_spd, read_matrix_csv, validate_spd, write_matrix_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,9 +55,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=1)
     p_verify.add_argument("--samples", type=int, default=10_000,
-                          help="Monte Carlo sample count for p1/c1 (default 10000)")
+                          help="Monte Carlo sample count, read by p1/c1 only (default 10000)")
     p_verify.add_argument("--cond", type=float, default=100.0,
-                          help="condition target for generated matrices (default 100)")
+                          help="condition target, read by p2/p3 only; p1/c1 draw at 10 "
+                               "(default 100)")
     p_verify.add_argument("--blocks", default=None, metavar="D1,D2,...",
                           help="block dimensions for p2 (default: split --dim in two)")
 
@@ -73,21 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_spd(path: str) -> tuple[SpdMatrix, bool]:
-    # A square file whose only nonzeros are a positive, finite diagonal is a
-    # spectrum, certified in O(m) and never factored; any other file is validated.
-    raw = read_matrix_csv(path)
-    d = np.diag(raw)
-    if (raw.shape == d.shape * 2 and np.count_nonzero(raw) == d.size
-            and 0.0 < d.min() and d.max() < math.inf):  # NaN fails both
-        return DiagSpectrum.from_variances(d).as_matrix(), True
-    return validate_spd(raw), False
-
-
 def _cmd_kl(args) -> int:
-    sx, diagonal = _read_spd(args.x)
-    sy, _ = _read_spd(args.y)
-    if diagonal:
+    sx = validate_spd(read_matrix_csv(args.x))
+    sy = validate_spd(read_matrix_csv(args.y))
+    if np.count_nonzero(sx.entries) == sx.dim:  # a certified diagonal: its pivots are > 0
         rep = kl_gap_diagonal(sx.diagonal(), sy)
         results = {"kl_nats": rep.kl_exact, "bound_nats": rep.bound, "gap_nats": rep.gap}
     else:
@@ -170,7 +159,7 @@ def main(argv=None) -> int:
     handlers = {"kl": _cmd_kl, "verify": _cmd_verify, "gen": _cmd_gen}
     try:
         return handlers[args.command](args)
-    except (GaussKlError, ValueError, OSError) as exc:
+    except (GaussKlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -170,10 +170,8 @@ def build_matched_mixture(target: SpdMatrix, w: float, spread: float) -> Mixture
         raise BuildError(f"spread must lie strictly in (0, 1), got {spread!r}")
     scale_one = 1.0 - spread
     scale_two = 1.0 + spread * w / (1.0 - w)
-    if scale_one <= 0.0 or scale_two <= 0.0:
-        raise SpreadTooLarge(
-            f"spread {spread!r} drives a component scale to {min(scale_one, scale_two)!r}"
-        )
+    if scale_one <= 0.0:  # scale_two >= 1 for every w in (0, 1) and spread > 0
+        raise SpreadTooLarge(f"spread {spread!r} drives a component scale to {scale_one!r}")
     return MixtureModel(weight=w, scale_one=scale_one, scale_two=scale_two,
                         covariance=target)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
 from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certify, _check_dim, _diag_lower,
-                     _random_symmetric, validate_spd)
+                     _log_uniform, _random_symmetric, validate_spd)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -37,6 +37,7 @@ MC_BAND_STDERRS = 4.0
 # Variance scales drawn log-uniformly from this range stress the log/trace
 # kernels while staying well inside double-precision viability.
 VARIANCE_RANGE = (1e-3, 1e3)
+_LOG_VARIANCE_RANGE = tuple(math.log(v) for v in VARIANCE_RANGE)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -125,28 +126,17 @@ class PropertyReport:
         return json.dumps(self.as_dict())
 
 
-def random_diag_spectrum(dim: int, seed: int,
-                         lo: float = VARIANCE_RANGE[0],
-                         hi: float = VARIANCE_RANGE[1]) -> DiagSpectrum:
-    """Diagonal covariance with variances log-uniform in [lo, hi]."""
-    return DiagSpectrum.from_variances(_log_uniform(dim, [np.random.default_rng(seed)], lo, hi)[0])
-
-
-def _log_uniform(dim: int, rngs: list[np.random.Generator],
-                 lo=VARIANCE_RANGE[0], hi=VARIANCE_RANGE[1]) -> np.ndarray:
-    # random_diag_spectrum's variances, one row per generator.
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if not 0.0 < lo <= hi < math.inf:
-        raise ValueError(f"variance range needs 0 < lo <= hi < inf, got lo={lo!r} hi={hi!r}")
-    return np.exp([rng.uniform(math.log(lo), math.log(hi), size=dim) for rng in rngs])
+def random_diag_spectrum(dim: int, seed: int) -> DiagSpectrum:
+    """Diagonal covariance with variances log-uniform in ``VARIANCE_RANGE``."""
+    return DiagSpectrum.from_variances(
+        _log_uniform(dim, [np.random.default_rng(seed)], *_LOG_VARIANCE_RANGE)[0])
 
 
 def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
     # Conditioning from random_spd's draw, overall variance scale log-uniform
     # in VARIANCE_RANGE drawn from a derived stream; certified once.
     rng = np.random.default_rng(derive_seed(seed, 0))
-    scale = math.exp(rng.uniform(math.log(VARIANCE_RANGE[0]), math.log(VARIANCE_RANGE[1])))
+    scale = math.exp(rng.uniform(*_LOG_VARIANCE_RANGE))
     sym = _random_symmetric(dim, [np.random.default_rng(derive_seed(seed, 1))],
                             condition_target)[0]
     return validate_spd(scale * sym)
@@ -214,7 +204,7 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     """
     def chunk(seeds: list[int]) -> np.ndarray:
         rngs = _generators([derive_seed(s, i) for i in (0, 1) for s in seeds])
-        vx = _log_uniform(dim, rngs[:len(seeds)])
+        vx = _log_uniform(dim, rngs[:len(seeds)], *_LOG_VARIANCE_RANGE)
         sy, ly = _certify(_random_symmetric(dim, rngs[len(seeds):], condition_target))
         vy = np.diagonal(sy, axis1=1, axis2=2)
         lx = _diag_lower(vx)

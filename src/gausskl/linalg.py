@@ -1,7 +1,8 @@
 """Dense symmetric positive-definite matrix kernels.
 
 Covariance matrices enter as raw arrays and get certified by
-:func:`validate_spd`, which keeps the Cholesky factor it computes: every
+:func:`validate_spd`, which keeps the Cholesky factor it computes (a diagonal
+matrix's factor is its square roots, taken without factoring): every
 consumer reads that one factor.  Explicit matrix inversion is never used;
 every application of an inverse goes through triangular solves against the
 factor, LAPACK's ``dtrtrs`` (directly or through :func:`solve_triangular`),
@@ -140,8 +141,12 @@ def _diag_lower(v: np.ndarray) -> np.ndarray:
 def validate_spd(raw) -> SpdMatrix:
     """Certify a raw square array as symmetric positive definite.
 
-    Asymmetry within ``ASYMMETRY_TOL`` (relative, with an absolute floor of 1)
-    is averaged away as ``(raw + raw.T) / 2``, halving first where the sum
+    A square array whose only nonzeros are a positive, finite diagonal is a
+    spectrum: it is certified in O(m) by :meth:`DiagSpectrum.as_matrix`, never
+    factored, and every field equals the Cholesky route's bit for bit (a
+    ``-0.0`` off the diagonal is written as ``+0.0``).  Any other array has
+    asymmetry within ``ASYMMETRY_TOL`` (relative, with an absolute floor of 1)
+    averaged away as ``(raw + raw.T) / 2``, halving first where the sum
     overflows; larger asymmetry is an error.  Positive definiteness is decided
     by a Cholesky factorization, which the result keeps: LAPACK fails on any
     pivot that is not positive, so a returned factor has a positive diagonal
@@ -159,6 +164,9 @@ def validate_spd(raw) -> SpdMatrix:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
+    d = np.diagonal(arr)
+    if np.count_nonzero(arr) == d.size and 0.0 < d.min() and d.max() < math.inf:  # NaN fails both
+        return DiagSpectrum.from_variances(d).as_matrix()
     sym, lower = _certify(arr[None])
     return _certified(sym[0], lower[0])
 
@@ -212,16 +220,22 @@ def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,
+                 log_hi: float) -> np.ndarray:
+    # dim draws log-uniform in [exp(log_lo), exp(log_hi)], one row per generator.
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return np.exp([rng.uniform(log_lo, log_hi, size=dim) for rng in rngs])
+
+
 def _random_symmetric(dim: int, rngs: list[np.random.Generator],
                       condition_target: float) -> np.ndarray:
     # random_spd's exactly symmetric draws before certification, one per generator.
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
     _check_dim(dim)
     _check_condition(condition_target)
 
     half_log = 0.5 * math.log(condition_target)
-    eigs = np.exp([rng.uniform(-half_log, half_log, size=dim) for rng in rngs])
+    eigs = _log_uniform(dim, rngs, -half_log, half_log)
     q, r = np.linalg.qr(np.array([rng.standard_normal((dim, dim)) for rng in rngs]))
     # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag, solve_triangular
 
-from gausskl import derive_seed, random_diag_spectrum, random_spd, validate_spd
+from gausskl import DiagSpectrum, derive_seed, random_diag_spectrum, random_spd, validate_spd
 
 
 def normal_log_pdf(u: float, var: float) -> float:
@@ -94,6 +94,16 @@ def weakly_correlated(m: int, rho: float, seed: int) -> np.ndarray:
     sy = rho * (r + r.T) * s[:, None] * s[None, :]
     sy[np.diag_indices(m)] = v
     return sy
+
+
+def log_uniform_spectrum(dim: int, seed: int, lo: float, hi: float) -> DiagSpectrum:
+    """dim variances log-uniform in [lo, hi], from ``np.random.default_rng(seed)``.
+
+    ``random_diag_spectrum``'s draw over a range other than ``VARIANCE_RANGE``,
+    bit for bit what it gave for such a range when it took one.
+    """
+    rng = np.random.default_rng(seed)
+    return DiagSpectrum.from_variances(np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim)))
 
 
 def excess_series(u: float) -> float:

@@ -76,9 +76,13 @@ class TestKlCommand:
         results = json.loads(out)["results"]
         assert "kl_nats" in results and "bound_nats" not in results
 
-        # -0.0 off the diagonal is a literal zero; 1e-300 is not.
-        for off, keys in ((-0.0, {"kl_nats", "bound_nats", "gap_nats"}), (1e-300, {"kl_nats"})):
-            write_csv(x, [[2.0, off], [off, 3.0]])
+        # -0.0 off the diagonal is a literal zero; 1e-300 is not.  An asymmetric
+        # pair within tolerance that averages to exactly 0 certifies as diagonal.
+        full = {"kl_nats", "bound_nats", "gap_nats"}
+        for rows, keys in (([[2.0, -0.0], [-0.0, 3.0]], full),
+                           ([[2.0, 1e-300], [1e-300, 3.0]], {"kl_nats"}),
+                           ([[2.0, 1e-9], [-1e-9, 3.0]], full)):
+            write_csv(x, rows)
             code, out, _ = run(capsys, "kl", "--x", str(x), "--y", str(y))
             assert code == 0
             assert set(json.loads(out)["results"]) == keys
@@ -386,6 +390,21 @@ class TestVerifyCommand:
                            "--dim", "2", "--seed", "1")
         assert code == 1
         assert json.loads(out)["violations"] == 2
+
+    @pytest.mark.parametrize("prop, campaign", [("p1", "check_prop1"), ("c1", "check_c1")])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, prop, campaign):
+        # Exit 1 means a violation was found; a request too large for memory is an error.
+        import gausskl.cli as cli_mod
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(cli_mod, campaign, too_large)
+        code, out, err = run(capsys, "verify", "--prop", prop, "--trials", "1",
+                             "--dim", "1", "--samples", "10000000000000")
+        assert code == 2
+        assert out == ""
+        assert err == "error: MemoryError: Unable to allocate 72.8 TiB for an array\n"
 
     def test_p2_needs_dim_two(self, capsys):
         code, _, err = run(capsys, "verify", "--prop", "p2", "--trials", "5",

@@ -19,7 +19,6 @@ from gausskl import (
     build_matched_mixture,
     kl_gaussian,
     mc_kl,
-    random_diag_spectrum,
     random_spd,
     validate_spd,
 )
@@ -28,7 +27,7 @@ from gausskl.divergence import LN_2PI
 from gausskl.estimators import _quad_form
 from gausskl.harness import derive_seed
 
-from oracles import normal_log_pdf
+from oracles import log_uniform_spectrum, normal_log_pdf
 
 
 def std_normal(dim=1):
@@ -266,6 +265,17 @@ class TestMatchedMixture:
         with pytest.raises(BuildError):
             build_matched_mixture(target, 0.5, -0.1)
 
+    @pytest.mark.parametrize("w", [5e-324, 0.5, 1 - 2 ** -53])
+    def test_second_scale_is_at_least_one(self, w):
+        # Only the first component can collapse: scale_two = 1 + spread*w/(1-w) >= 1
+        # for every accepted (w, spread), so no spread is refused on its account.
+        target = validate_spd([[1.0]])
+        for spread in (5e-324, 1e-6, 0.5, 1 - 2 ** -53):
+            m = build_matched_mixture(target, w, spread)
+            assert m.scale_one > 0.0 and m.scale_two >= 1.0
+        with pytest.raises(SpreadTooLarge, match="to 0.0"):
+            build_matched_mixture(target, w, 1.0)
+
 
 class TestMcKl:
     def test_deterministic(self):
@@ -309,7 +319,7 @@ class TestMcKl:
         # the closed form for the Gaussian with the same covariance
         for run in range(100):
             dim = 1 + run % 3
-            lx = random_diag_spectrum(dim, derive_seed(run, 10), 0.1, 10.0)
+            lx = log_uniform_spectrum(dim, derive_seed(run, 10), 0.1, 10.0)
             target = random_spd(dim, derive_seed(run, 11), 10.0)
             rng = np.random.default_rng(derive_seed(run, 12))
             m = build_matched_mixture(target, rng.uniform(0.2, 0.8),

@@ -61,14 +61,25 @@ class TestGenerators:
 
 
 class TestRandomDiagSpectrum:
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (1.0, math.inf),
-                                        (math.nan, 1.0), (1.0, math.nan), (2.0, 1.0)])
-    def test_bad_range_is_a_value_error(self, lo, hi):
-        with pytest.raises(ValueError, match="0 < lo <= hi < inf"):
-            random_diag_spectrum(3, 1, lo, hi)
+    @pytest.mark.parametrize("dim", [1, 8, 512])
+    def test_log_uniform_in_variance_range(self, dim):
+        # The oracle draws the same stream with numpy alone, bit for bit.
+        lx = random_diag_spectrum(dim, derive_seed(dim, 3))
+        ref = oracles.log_uniform_spectrum(dim, derive_seed(dim, 3), *harness.VARIANCE_RANGE)
+        assert lx.dim == dim
+        assert lx.variances.tobytes() == ref.variances.tobytes()
+        lo, hi = harness.VARIANCE_RANGE
+        assert np.all((lo <= lx.variances) & (lx.variances <= hi))
+        assert not lx.variances.flags.writeable
 
-    def test_degenerate_range(self):
-        np.testing.assert_array_equal(random_diag_spectrum(4, 1, 2.0, 2.0).variances, 2.0)
+    def test_range_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            random_diag_spectrum(3, 1, 0.1, 10.0)
+
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_bad_dim_is_a_value_error(self, dim):
+        with pytest.raises(ValueError, match="dim must be >= 1"):
+            random_diag_spectrum(dim, 1)
 
 
 class TestCheckProp3:

@@ -65,6 +65,23 @@ class TestValidateSpd:
         with pytest.raises(NotPositiveDefinite):
             validate_spd([[1.0, np.nan], [np.nan, 1.0]])
 
+    def test_diagonal_route_takes_only_a_positive_finite_diagonal(self, monkeypatch):
+        # Zeros only off a positive, finite diagonal: the spectrum route, no factorization.
+        # Anything else, NaN, inf, zero or negative variances included, takes the
+        # Cholesky route and is judged there.
+        calls = []
+        original = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or original(a))
+        a = validate_spd([[2.0, -0.0], [-0.0, 3.0]])
+        assert calls == [] and a.entries.tobytes() == np.diag([2.0, 3.0]).tobytes()
+        for diag in ([np.nan, 1.0], [np.inf, 1.0], [0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(NotPositiveDefinite):
+                validate_spd(np.diag(diag))
+        assert len(calls) == 2  # NaN and inf fail the finiteness check before factoring
+        for raw in ([[2.0, 1e-300], [1e-300, 3.0]], [[2.0, 1e-9], [-1e-9, 3.0]]):
+            validate_spd(raw)
+        assert len(calls) == 4
+
     def test_oversize_dimension_rejected(self):
         with pytest.raises(ValueError):
             validate_spd(np.eye(513))
@@ -100,15 +117,17 @@ class TestFactoredOnce:
             return original(a)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        sx = validate_spd(np.diag([1.0, 4.0, 2.0]))
-        assert len(calls) == 1
+        sx = validate_spd(np.diag([1.0, 4.0, 2.0]))  # a spectrum: never factored
+        assert len(calls) == 0
         sy = random_spd(3, 5, 100.0)
-        assert len(calls) == 2
+        assert len(calls) == 1
         kl_gaussian(sx, sy)
         kl_gaussian(sy, sx)
-        assert len(calls) == 2
+        assert len(calls) == 1
         DiagSpectrum.from_variances([1.0, 4.0, 2.0]).as_matrix()
         sy.diagonal().as_matrix()
+        assert len(calls) == 1
+        validate_spd(sy.entries)
         assert len(calls) == 2
 
     @pytest.mark.parametrize("dims", [[2, 2], [3, 3, 2]])
@@ -300,22 +319,26 @@ class TestDiagSpectrum:
         np.testing.assert_array_equal(m.entries, np.diag([2.0, 3.0]))
         np.testing.assert_array_equal(m.diagonal().variances, lx.variances)
 
-    def test_as_matrix_equals_validate_spd_bit_for_bit(self):
-        # Variances over 300 decades; tobytes() compares every bit, zero signs
-        # included, and log_det is compared by its hex form.
+    def test_spectrum_routes_equal_cholesky_route_bit_for_bit(self):
+        # as_matrix and validate_spd of a diagonal take square roots; the reference
+        # factors the same matrix with numpy's Cholesky.  Variances over the whole
+        # positive double range, subnormals included; tobytes() compares every bit,
+        # zero signs included, and log_det is compared by its hex form.
         rng = np.random.default_rng(17)
-        for k in range(300):
+        for k in range(400):
             dim = 1 + k % 8 if k % 20 else int(rng.integers(9, MAX_DIM + 1))
-            v = np.exp(rng.uniform(math.log(1e-150), math.log(1e150), size=dim))
-            fast, dense = DiagSpectrum.from_variances(v).as_matrix(), validate_spd(np.diag(v))
-            assert fast.dim == dense.dim
-            assert fast.entries.tobytes() == dense.entries.tobytes()
-            assert fast.lower.tobytes() == dense.lower.tobytes()
-            assert fast.variances.tobytes() == dense.variances.tobytes()
-            assert fast.pivots.tobytes() == dense.pivots.tobytes()
-            assert fast.off_squares.tobytes() == dense.off_squares.tobytes()
-            assert fast.log_det.hex() == dense.log_det.hex()
-            assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
+            v = np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), size=dim))
+            sym, lower = linalg._certify(np.diag(v)[None])
+            dense = linalg._certified(sym[0], lower[0])
+            for fast in (DiagSpectrum.from_variances(v).as_matrix(), validate_spd(np.diag(v))):
+                assert fast.dim == dense.dim
+                assert fast.entries.tobytes() == dense.entries.tobytes()
+                assert fast.lower.tobytes() == dense.lower.tobytes()
+                assert fast.variances.tobytes() == dense.variances.tobytes()
+                assert fast.pivots.tobytes() == dense.pivots.tobytes()
+                assert fast.off_squares.tobytes() == dense.off_squares.tobytes()
+                assert fast.log_det.hex() == dense.log_det.hex()
+                assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_certified_diagonals(self, m):

@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_kl(args) -> int:
     sx = validate_spd(read_matrix_csv(args.x))
     sy = validate_spd(read_matrix_csv(args.y))
-    if np.count_nonzero(sx.entries) == sx.dim:  # a certified diagonal: its pivots are > 0
+    if np.count_nonzero(sx.entries != 0) == sx.dim:  # a certified diagonal: its pivots are > 0
         rep = kl_gap_diagonal(sx.diagonal(), sy)
         results = {"kl_nats": rep.kl_exact, "bound_nats": rep.bound, "gap_nats": rep.gap}
     else:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
-from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certify, _check_dim, _diag_lower,
-                     _log_uniform, _random_symmetric, validate_spd)
+from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certified, _check_dim, _diag_lower,
+                     _factor, _log_uniform, _random_symmetric)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -132,14 +132,13 @@ def random_diag_spectrum(dim: int, seed: int) -> DiagSpectrum:
         _log_uniform(dim, [np.random.default_rng(seed)], *_LOG_VARIANCE_RANGE)[0])
 
 
-def _random_scaled_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
-    # Conditioning from random_spd's draw, overall variance scale log-uniform
-    # in VARIANCE_RANGE drawn from a derived stream; certified once.
+def _random_scaled_spd(dim: int, seed: int) -> SpdMatrix:
+    # random_spd's draw at condition target 10, overall variance scale log-uniform
+    # in VARIANCE_RANGE drawn from a derived stream; factored once.
     rng = np.random.default_rng(derive_seed(seed, 0))
     scale = math.exp(rng.uniform(*_LOG_VARIANCE_RANGE))
-    sym = _random_symmetric(dim, [np.random.default_rng(derive_seed(seed, 1))],
-                            condition_target)[0]
-    return validate_spd(scale * sym)
+    sym = scale * _random_symmetric(dim, [np.random.default_rng(derive_seed(seed, 1))], 10.0)[0]
+    return _certified(sym, _factor(sym))
 
 
 def _block_dims(block_dims: Sequence[int]) -> list[int]:
@@ -205,7 +204,8 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     def chunk(seeds: list[int]) -> np.ndarray:
         rngs = _generators([derive_seed(s, i) for i in (0, 1) for s in seeds])
         vx = _log_uniform(dim, rngs[:len(seeds)], *_LOG_VARIANCE_RANGE)
-        sy, ly = _certify(_random_symmetric(dim, rngs[len(seeds):], condition_target))
+        sy = _random_symmetric(dim, rngs[len(seeds):], condition_target)
+        ly = _factor(sy)
         vy = np.diagonal(sy, axis1=1, axis2=2)
         lx = _diag_lower(vx)
         bound = _diagonal_sum(vx, vy)  # also the bound for sy's diagonal
@@ -234,15 +234,15 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
     offsets = np.cumsum([0] + dims)
 
     def chunk(seeds: list[int]) -> np.ndarray:
-        # Certified (entries, factor) stacks of the reference blocks, then of sy.
+        # Draw stacks of the reference blocks and of sy, then factor them and sy's marginals.
         n = len(seeds)
         rngs = _generators([derive_seed(s, i) for i in range(len(dims) + 1) for s in seeds])
-        draws = [_certify(_random_symmetric(d, rngs[i * n:(i + 1) * n], condition_target))
-                 for i, d in enumerate(dims + [total])]
-        blocks, (sy, ly) = [b[1] for b in draws[:-1]], draws[-1]
+        *draws, sy = [_random_symmetric(d, rngs[i * n:(i + 1) * n], condition_target)
+                      for i, d in enumerate(dims + [total])]
+        blocks, ly = [_factor(d) for d in draws], _factor(sy)
         lx = _block_stack(blocks)
 
-        sub = [_certify(sy[:, a:b, a:b])[1] for a, b in zip(offsets[:-1], offsets[1:])]
+        sub = [_factor(sy[:, a:b, a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
         marginal_sum = sum(_kl(block, s) for block, s in zip(blocks, sub))
         slack = _kl(lx, ly) - marginal_sum
         slack_eq = -np.abs(_kl(lx, _block_stack(sub)) - marginal_sum)
@@ -264,8 +264,8 @@ def check_prop1(trials: int, dim: int, master_seed: int, n_samples: int) -> Prop
     mixture witness family, not a proof over all distributions.
     """
     def trial(t_seed: int) -> tuple[float]:
-        sx = _random_scaled_spd(dim, derive_seed(t_seed, 0), condition_target=10.0)
-        sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
+        sx = _random_scaled_spd(dim, derive_seed(t_seed, 0))
+        sy = _random_scaled_spd(dim, derive_seed(t_seed, 1))
         est = mc_kl(_matched_mixture(sy, t_seed), GaussianModel(sx), n_samples,
                     derive_seed(t_seed, 3))
         slack = est.value - kl_gaussian(sx, sy) + MC_BAND_STDERRS * est.std_error
@@ -285,7 +285,7 @@ def check_c1(trials: int, dim: int, master_seed: int, n_samples: int) -> Propert
     """
     def trial(t_seed: int) -> tuple[float, float]:
         lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
-        sy = _random_scaled_spd(dim, derive_seed(t_seed, 1), condition_target=10.0)
+        sy = _random_scaled_spd(dim, derive_seed(t_seed, 1))
         x = GaussianModel(lx.as_matrix())
         est = mc_kl(_matched_mixture(sy, t_seed), x, n_samples, derive_seed(t_seed, 3))
         slack = est.value - diagonal_lower_bound(lx, sy) + MC_BAND_STDERRS * est.std_error

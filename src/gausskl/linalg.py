@@ -1,16 +1,17 @@
 """Dense symmetric positive-definite matrix kernels.
 
-Covariance matrices enter as raw arrays and get certified by
-:func:`validate_spd`, which keeps the Cholesky factor it computes (a diagonal
-matrix's factor is its square roots, taken without factoring): every
-consumer reads that one factor.  Explicit matrix inversion is never used;
-every application of an inverse goes through triangular solves against the
-factor, LAPACK's ``dtrtrs`` (directly or through :func:`solve_triangular`),
-which is the numerically robust route for ill-conditioned input.  ``dtrtrs``
-comes from scipy's LAPACK extension, loaded on its own: importing
-``scipy.linalg`` would cost more start-up time than the rest of the package.
-The kernels take (T, m, m) stacks, so a campaign certifies a chunk of trials
-per LAPACK call; the public functions are stacks of one through them.
+Covariance matrices from outside the package (files, user arrays) enter as
+raw arrays and get certified by :func:`validate_spd`, which keeps the Cholesky
+factor it computes (a diagonal matrix's factor is its square roots, taken
+without factoring): every consumer reads that one factor.  The package's own
+draws are exactly symmetric and finite, so they are only factored.  Explicit
+matrix inversion is never used; every application of an inverse goes through
+triangular solves against the factor, LAPACK's ``dtrtrs`` (directly or
+through :func:`solve_triangular`), the numerically robust route for
+ill-conditioned input.  ``dtrtrs`` comes from scipy's LAPACK extension, loaded
+on its own: importing ``scipy.linalg`` would cost more start-up time than the
+rest of the package.  The kernels take (T, m, m) stacks, so a campaign factors
+a chunk of trials per LAPACK call; the public functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def _diag_lower(v: np.ndarray) -> np.ndarray:
 
 
 def validate_spd(raw) -> SpdMatrix:
-    """Certify a raw square array as symmetric positive definite.
+    """Certify a square array from outside the package as symmetric positive definite.
 
     A square array whose only nonzeros are a positive, finite diagonal is a
     spectrum: it is certified in O(m) by :meth:`DiagSpectrum.as_matrix`, never
@@ -165,31 +166,28 @@ def validate_spd(raw) -> SpdMatrix:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise NotSquare(f"expected a square matrix, got shape {arr.shape}")
     d = np.diagonal(arr)
-    if np.count_nonzero(arr) == d.size and 0.0 < d.min() and d.max() < math.inf:  # NaN fails both
+    if np.count_nonzero(arr != 0) == d.size and 0.0 < d.min() and d.max() < math.inf:  # NaN fails
         return DiagSpectrum.from_variances(d).as_matrix()
-    sym, lower = _certify(arr[None])
-    return _certified(sym[0], lower[0])
-
-
-def _certify(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # validate_spd over a (T, m, m) stack: the symmetrized stack and its factors.
-    _check_dim(arr.shape[-1])
+    _check_dim(arr.shape[0])
     if not np.all(np.isfinite(arr)):
         raise NotPositiveDefinite("matrix has non-finite entries")
-
-    arr_t = arr.swapaxes(-1, -2)  # a view; one-expression check, so no temporary outlives it
-    worst = float((np.abs(arr - arr_t) / np.maximum(1.0, np.abs(arr))).max())
+    worst = float((np.abs(arr - arr.T) / np.maximum(1.0, np.abs(arr))).max())
     if worst > ASYMMETRY_TOL:
         raise AsymmetryExceedsTolerance(
             f"relative asymmetry {worst:.3e} exceeds tolerance {ASYMMETRY_TOL:.1e}"
         )
 
     with np.errstate(over="ignore"):
-        sym = 0.5 * (arr + arr_t)
+        sym = 0.5 * (arr + arr.T)
     big = np.isinf(sym)  # the sum overflowed: halve first (halving all would lose subnormals)
-    sym[big] = 0.5 * arr[big] + 0.5 * arr_t[big]
+    sym[big] = 0.5 * arr[big] + 0.5 * arr.T[big]
+    return _certified(sym, _factor(sym))
+
+
+def _factor(sym: np.ndarray) -> np.ndarray:
+    # Cholesky factors of a symmetric matrix or stack: the package's one factorization call.
     try:
-        return sym, np.linalg.cholesky(sym)
+        return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"matrix is not positive definite: {exc}") from exc
 
@@ -225,13 +223,14 @@ def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,
     # dim draws log-uniform in [exp(log_lo), exp(log_hi)], one row per generator.
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
+    _check_dim(dim)  # the first draw of every random matrix and spectrum: refuse before drawing
     return np.exp([rng.uniform(log_lo, log_hi, size=dim) for rng in rngs])
 
 
 def _random_symmetric(dim: int, rngs: list[np.random.Generator],
                       condition_target: float) -> np.ndarray:
-    # random_spd's exactly symmetric draws before certification, one per generator.
-    _check_dim(dim)
+    # random_spd's draws, one per generator, each exactly symmetric (a averaged with its
+    # transpose) and finite (|entries| <= sqrt(condition_target) < 1.4e154): factored, not scanned.
     _check_condition(condition_target)
 
     half_log = 0.5 * math.log(condition_target)
@@ -261,8 +260,8 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
     Haar-random orthogonal matrix, so ill-conditioning is exercised evenly in
     log space.  Deterministic in ``(dim, seed, condition_target)``.
     """
-    return validate_spd(_random_symmetric(dim, [np.random.default_rng(seed)],
-                                          condition_target)[0])
+    sym = _random_symmetric(dim, [np.random.default_rng(seed)], condition_target)[0]
+    return _certified(sym, _factor(sym))
 
 
 def read_matrix_csv(path) -> np.ndarray:

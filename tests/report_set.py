@@ -32,7 +32,7 @@ m <= 8, so the next 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
 drawn at condition target 100 from seeds derived from 7, each against a
 dense and a diagonal reference.  The next 8 lines are the sha256 of files
 written by the ``gen`` command, dense at condition target 100 and
-``--diagonal``, at m = 1, 8, 64 and 512, from seeds derived from 7.  The last
+``--diagonal``, at m = 1, 8, 64 and 512, from seeds derived from 7.  The next
 8 lines are the results of the ``kl`` command on files written by
 ``write_matrix_csv``: at m = 1, 8, 64 and 512, one subject drawn at condition
 target 100 against a dense and a diagonal reference, from seeds derived from

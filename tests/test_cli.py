@@ -9,8 +9,8 @@ import pytest
 
 import gausskl
 from gausskl.cli import main
-from gausskl import (derive_seed, divergence, kl_gaussian, random_diag_spectrum, random_spd,
-                     read_matrix_csv, validate_spd, write_matrix_csv)
+from gausskl import (derive_seed, divergence, harness, kl_gaussian, random_diag_spectrum,
+                     random_spd, read_matrix_csv, validate_spd, write_matrix_csv)
 from oracles import kl_mpmath, weakly_correlated
 
 
@@ -302,6 +302,15 @@ class TestGenCommand:
         assert "ValueError" in err
         assert not out.exists()
 
+    def test_draw_that_lapack_rejects_exits_2(self, tmp_path, capsys):
+        # At condition target 1e30 the draw is symmetric and finite, but not numerically SPD.
+        out = tmp_path / "a.csv"
+        code, _, err = run(capsys, "gen", "--dim", "8", "--seed", "1", "--cond", "1e30",
+                           "--out", str(out))
+        assert code == 2
+        assert "error: NotPositiveDefinite: " in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags", [(), ("--diagonal",)], ids=["dense", "diagonal"])
     @pytest.mark.parametrize("cond", ["nan", "inf"])
     def test_non_finite_condition_target_exits_2(self, tmp_path, capsys, cond, flags):
@@ -462,6 +471,33 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert f"ValueError: condition_target must be finite and >= 1, got {cond}" in err
+
+
+class _NoArrayDraws:
+    # A generator whose scalar uniform draw works and whose array draws fail.
+    def uniform(self, low, high, size=None):
+        assert size is None, f"drew {size} uniforms before the dimension was checked"
+        return 0.5 * (low + high)
+
+    def standard_normal(self, size=None):
+        raise AssertionError(f"drew {size} normals before the dimension was checked")
+
+
+@pytest.mark.parametrize("argv", [("verify", "--prop", "p3", "--trials", "1"),
+                                  ("verify", "--prop", "c1", "--trials", "1"),
+                                  ("verify", "--prop", "p1", "--trials", "1"),
+                                  ("gen", "--seed", "1", "--diagonal", "--out", os.devnull),
+                                  ("gen", "--seed", "1", "--out", os.devnull)],
+                         ids=["p3", "c1", "p1", "gen-diagonal", "gen-dense"])
+def test_oversize_dimension_refused_before_any_draw(capsys, monkeypatch, argv):
+    # Every random matrix and spectrum starts with a log-uniform draw, which checks
+    # the dimension first; nothing of the requested size is drawn.
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoArrayDraws())
+    monkeypatch.setattr(harness, "_generators", lambda seeds: [_NoArrayDraws() for _ in seeds])
+    code, out, err = run(capsys, *argv, "--dim", "5000000")
+    assert code == 2
+    assert out == ""
+    assert "error: ValueError: dimension 5000000 exceeds supported maximum 512" in err
 
 
 def test_numbers_round_trip_through_json(tmp_path, capsys):

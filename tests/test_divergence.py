@@ -23,7 +23,7 @@ from gausskl import (
 )
 from gausskl import divergence
 from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
-from gausskl.linalg import _certify, _random_symmetric
+from gausskl.linalg import _factor, _random_symmetric
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
                      kl_determinant_route, kl_factors_column_reference, kl_factors_reference,
@@ -177,12 +177,12 @@ class TestKlGaussian:
     def test_nonnegativity_sweep(self):
         # 10000 random pairs across dims 1..8: per dim, the 1250 pairs
         # random_spd(dim, derive_seed(seed, 2 * dim + k), 100.0), k = 0, 1, drawn,
-        # certified and scored as stacks, with random_spd's and kl_gaussian's
+        # factored and scored as stacks, with random_spd's and kl_gaussian's
         # bits, as public calls on every 50th pair show.
         count = 0
         for dim in range(1, 9):
             seeds = [[derive_seed(seed, 2 * dim + k) for seed in range(1250)] for k in (0, 1)]
-            sx, sy = (_certify(_random_symmetric(dim, _generators(s), 100.0))[1] for s in seeds)
+            sx, sy = (_factor(_random_symmetric(dim, _generators(s), 100.0)) for s in seeds)
             values = divergence._kl(sx, sy)
             assert np.all(values >= 0.0)
             count += values.size

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from gausskl import McEstimate, harness
+from gausskl import McEstimate, NotPositiveDefinite, SpdMatrix, harness, linalg
 from gausskl import (
     check_c1,
     check_prop1,
@@ -79,6 +79,16 @@ class TestRandomDiagSpectrum:
     @pytest.mark.parametrize("dim", [0, -3])
     def test_bad_dim_is_a_value_error(self, dim):
         with pytest.raises(ValueError, match="dim must be >= 1"):
+            random_diag_spectrum(dim, 1)
+
+    @pytest.mark.parametrize("dim", [513, 5_000_000])
+    def test_oversize_dim_is_refused_before_drawing(self, monkeypatch, dim):
+        class NoDraws:
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("variances were drawn before the dimension was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+        with pytest.raises(ValueError, match=f"dimension {dim} exceeds supported maximum 512"):
             random_diag_spectrum(dim, 1)
 
 
@@ -294,6 +304,44 @@ class TestDrawnInstances:
         assert report.config_digest == digest
         floor = 1e-12 if prop in ("p2", "p3") else 0.0
         assert report.worst_margin == pytest.approx(worst, rel=1e-9, abs=floor)
+
+
+class TestDrawsAreFactoredNotCertified:
+    # The package's own draws are exactly symmetric and finite, so they are factored
+    # without validate_spd: with it unusable, every campaign and random_spd give
+    # the same bits.  A draw LAPACK rejects is still NotPositiveDefinite.
+    CALLS = {
+        "random_spd": lambda: random_spd(6, 3, 1e4),
+        "p1": lambda: check_prop1(2, 2, 5, 10_000),
+        "c1": lambda: check_c1(2, 2, 5, 10_000),
+        "p2": lambda: check_prop2([2, 3], 20, 4),
+        "p3": lambda: check_prop3(20, 3, 7, 100.0),
+    }
+
+    @staticmethod
+    def _fingerprint(result):
+        if isinstance(result, SpdMatrix):
+            return result.entries.tobytes(), result.lower.tobytes(), result.log_det.hex()
+        return _bits(result)
+
+    def test_draws_skip_validate_spd(self, monkeypatch):
+        plain = {name: self._fingerprint(call()) for name, call in self.CALLS.items()}
+
+        def never(raw):
+            raise AssertionError("a package draw went through validate_spd")
+
+        for module in (linalg, harness):
+            monkeypatch.setattr(module, "validate_spd", never, raising=False)
+        assert {name: self._fingerprint(call()) for name, call in self.CALLS.items()} == plain
+
+    @pytest.mark.parametrize("call", [lambda: random_spd(8, 1, 1e30),
+                                      lambda: check_prop3(5, 8, 1, 1e30),
+                                      lambda: check_prop2([4, 4], 5, 1, 1e30)],
+                             ids=["random_spd", "p3", "p2"])
+    def test_failed_factorization_is_not_positive_definite(self, call):
+        # At condition target 1e30 a draw is symmetric and finite, but LAPACK rejects it.
+        with pytest.raises(NotPositiveDefinite):
+            call()
 
 
 class TestComposition:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -286,6 +287,17 @@ class TestRandomSpd:
         with pytest.raises(ValueError, match=f"must be finite and >= 1, got {cond}"):
             random_spd(2, 1, cond)
 
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e300, sys.float_info.max])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64, 512])
+    def test_draws_are_exactly_symmetric_and_finite(self, dim, cond):
+        # The invariant that lets random_spd and the campaigns factor their draws
+        # without validate_spd's finiteness and asymmetry scans.
+        rngs = [np.random.default_rng(derive_seed(dim, t)) for t in range(2 if dim > 64 else 5)]
+        a = linalg._random_symmetric(dim, rngs, cond)
+        assert a.shape == (len(rngs), dim, dim)
+        assert np.array_equal(a, a.swapaxes(-1, -2))
+        assert np.all(np.isfinite(a))
+
     def test_seed_range_is_numpy_s(self):
         # Seeds reach np.random.default_rng as given: above 2**64 is accepted,
         # a negative seed is a ValueError.
@@ -328,8 +340,8 @@ class TestDiagSpectrum:
         for k in range(400):
             dim = 1 + k % 8 if k % 20 else int(rng.integers(9, MAX_DIM + 1))
             v = np.exp(rng.uniform(math.log(5e-324), math.log(1.7e308), size=dim))
-            sym, lower = linalg._certify(np.diag(v)[None])
-            dense = linalg._certified(sym[0], lower[0])
+            sym = np.diag(v)
+            dense = linalg._certified(sym, linalg._factor(sym))
             for fast in (DiagSpectrum.from_variances(v).as_matrix(), validate_spd(np.diag(v))):
                 assert fast.dim == dense.dim
                 assert fast.entries.tobytes() == dense.entries.tobytes()

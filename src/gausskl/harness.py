@@ -8,12 +8,12 @@ Closed-form checks use an absolute tolerance of 1e-10 nats; Monte Carlo
 checks fold a 4-standard-error band into the slack and use tolerance 0, which
 puts the two-sided failure probability per check around 0.006%.
 
-Per-trial seeds derive from the master seed by a counter scheme (splitmix64)
-and reach a campaign a chunk at a time (``_CHUNK_ELEMENTS`` matrix entries at
+Per-trial seeds derive from the master seed by a counter scheme (splitmix64),
+as uint64 arrays a chunk at a time (``_CHUNK_ELEMENTS`` matrix entries at
 most).  Every stream is numpy's ``default_rng`` stream of its seed.  ``p3`` and
-``p2`` build a chunk's generators with one vectorized ``SeedSequence`` hash
-(:func:`_generators`), draw each trial from its own streams and score the
-chunk as (T, m, m) stacks through the kernels of the single-matrix API, so
+``p2`` hash a chunk's generators in one pass (:func:`_generators`), draw each
+trial from its own streams and score the chunk as (T, m, m) stacks through the
+kernels of the single-matrix API, one stacked ``_kl`` call per shape, so
 reports are bit-identical whatever the chunking.
 """
 
@@ -51,7 +51,12 @@ def derive_seed(seed: int, index: int) -> int:
     This is the documented scheme tying every per-trial generator back to the
     campaign master seed.
     """
-    z = (seed + (index + 1) * _GOLDEN) & _MASK64
+    return _derive_seeds(seed, index)
+
+
+def _derive_seeds(seeds: int | np.ndarray, indices: int | np.ndarray) -> int | np.ndarray:
+    # The one splitmix64, on ints or broadcast uint64 arrays (these wrap silently; scalars warn).
+    z = (seeds + (indices + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -87,7 +92,7 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _generators(seeds: list[int]) -> list[np.random.Generator]:
+def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
     """``np.random.default_rng(seed)`` for each 64-bit seed, hashed in one pass.
 
     Computes numpy's ``SeedSequence`` pool mixing and ``generate_state(4,
@@ -95,7 +100,7 @@ def _generators(seeds: list[int]) -> list[np.random.Generator]:
     seeds itself from those words, so every stream is bit-identical to
     ``default_rng``'s.  A seed of at most 64 bits is at most two entropy words.
     """
-    s = np.array(seeds, dtype=np.uint64)
+    s = np.asarray(seeds, dtype=np.uint64)
     pool = np.zeros((4, s.size), dtype=np.uint32)
     pool[0], pool[1] = s & 0xFFFFFFFF, s >> 32
     pool = _hashmix(pool, _POOL_XOR[:4], _POOL_MUL[:4])
@@ -155,7 +160,7 @@ def _block_dims(block_dims: Sequence[int]) -> list[int]:
 
 
 def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str, dim: int,
-              chunk: Callable[[list[int]], Sequence[Sequence[float]]]) -> PropertyReport:
+              chunk: Callable[[np.ndarray], Sequence[Sequence[float]]]) -> PropertyReport:
     """Run ``chunk`` on the per-trial seeds and fold its rows of slacks into a report."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -163,7 +168,8 @@ def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: st
     violations = 0
     worst = math.inf
     for start in range(0, trials, step):
-        seeds = [derive_seed(master_seed, t) for t in range(start, min(start + step, trials))]
+        seeds = _derive_seeds(master_seed & _MASK64,
+                              np.arange(start, min(start + step, trials), dtype=np.uint64))
         for slacks in np.asarray(chunk(seeds), dtype=float).tolist():
             # any(), not min(slacks) < -tol: a NaN first slack must not hide the rest.
             if any(s < -tol for s in slacks):
@@ -181,7 +187,8 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
                 f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")
-    return _campaign(prop, trials, master_seed, 0.0, settings, dim, lambda s: [*map(trial, s)])
+    return _campaign(prop, trials, master_seed, 0.0, settings, dim,
+                     lambda s: [*map(trial, s.tolist())])
 
 
 def _matched_mixture(sy: SpdMatrix, t_seed: int) -> MixtureModel:
@@ -201,17 +208,17 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     :func:`kl_gap_diagonal` is nonnegative by construction, so it would test
     nothing here.
     """
-    def chunk(seeds: list[int]) -> np.ndarray:
-        rngs = _generators([derive_seed(s, i) for i in (0, 1) for s in seeds])
-        vx = _log_uniform(dim, rngs[:len(seeds)], *_LOG_VARIANCE_RANGE)
-        sy = _random_symmetric(dim, rngs[len(seeds):], condition_target)
-        ly = _factor(sy)
+    def chunk(seeds: np.ndarray) -> np.ndarray:
+        n = len(seeds)
+        rngs = _generators(_derive_seeds(seeds, np.arange(2, dtype=np.uint64)[:, None]).ravel())
+        vx = _log_uniform(dim, rngs[:n], *_LOG_VARIANCE_RANGE)
+        sy = _random_symmetric(dim, rngs[n:], condition_target)
         vy = np.diagonal(sy, axis1=1, axis2=2)
         lx = _diag_lower(vx)
         bound = _diagonal_sum(vx, vy)  # also the bound for sy's diagonal
-        slack = _kl(lx, ly) - bound
-        slack_eq = -np.abs(_kl(lx, _diag_lower(vy)) - bound)
-        return np.stack([slack, slack_eq], axis=1)
+        # Both routes in one stack: against sy, then against its diagonal.
+        kl = _kl(np.concatenate([lx, lx]), np.concatenate([_factor(sy), _diag_lower(vy)]))
+        return np.stack([kl[:n] - bound, -np.abs(kl[n:] - bound)], axis=1)
 
     settings = (f"trials={trials} dim={dim} condition_target={condition_target:g} "
                 f"lx_range=[{VARIANCE_RANGE[0]:g},{VARIANCE_RANGE[1]:g}] "
@@ -233,20 +240,26 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
     total = sum(dims)
     offsets = np.cumsum([0] + dims)
 
-    def chunk(seeds: list[int]) -> np.ndarray:
-        # Draw stacks of the reference blocks and of sy, then factor them and sy's marginals.
+    def chunk(seeds: np.ndarray) -> np.ndarray:
+        # Stream i draws reference block i, the last stream sy.  The blocks of one size are
+        # drawn, factored and scored against sy's marginals as one stack.
         n = len(seeds)
-        rngs = _generators([derive_seed(s, i) for i in range(len(dims) + 1) for s in seeds])
-        *draws, sy = [_random_symmetric(d, rngs[i * n:(i + 1) * n], condition_target)
-                      for i, d in enumerate(dims + [total])]
-        blocks, ly = [_factor(d) for d in draws], _factor(sy)
+        streams = np.arange(len(dims) + 1, dtype=np.uint64)[:, None]
+        rngs = _generators(_derive_seeds(seeds, streams).ravel())
+        sy = _random_symmetric(total, rngs[len(dims) * n:], condition_target)
+        parts = {}  # block index -> (factor, factor of sy's marginal, their KL), n rows each
+        for d in dict.fromkeys(dims):
+            idx = [i for i, e in enumerate(dims) if e == d]
+            draws = [g for i in idx for g in rngs[i * n:(i + 1) * n]]
+            ref = _factor(_random_symmetric(d, draws, condition_target))
+            marg = _factor(np.concatenate([sy[:, a:a + d, a:a + d] for a in offsets[idx]]))
+            kl = _kl(ref, marg)
+            parts.update(zip(idx, zip(*(x.reshape(-1, n, *x.shape[1:]) for x in (ref, marg, kl)))))
+        blocks, sub, kls = zip(*(parts[i] for i in range(len(dims))))
+        marginal_sum = sum(kls)  # in block order
         lx = _block_stack(blocks)
-
-        sub = [_factor(sy[:, a:b, a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
-        marginal_sum = sum(_kl(block, s) for block, s in zip(blocks, sub))
-        slack = _kl(lx, ly) - marginal_sum
-        slack_eq = -np.abs(_kl(lx, _block_stack(sub)) - marginal_sum)
-        return np.stack([slack, slack_eq], axis=1)
+        kl = _kl(np.concatenate([lx, lx]), np.concatenate([_factor(sy), _block_stack(sub)]))
+        return np.stack([kl[:n] - marginal_sum, -np.abs(kl[n:] - marginal_sum)], axis=1)
 
     settings = (f"blocks={'x'.join(str(d) for d in dims)} trials={trials} "
                 f"condition_target={condition_target:g} tol={CLOSED_FORM_TOL:g}")

@@ -196,9 +196,10 @@ def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
     # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Its vectors are
     # taken while in cache.  The row sums skip lower's diagonal by zeroing it, not by cancelling.
     variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower).copy()
-    np.einsum("ii->i", lower)[...] = 0.0
+    diagonal = lower.reshape(-1)[::lower.shape[0] + 1]  # a view: lower is fresh and C-ordered
+    diagonal[...] = 0.0
     off_squares = np.einsum("ij,ij->i", lower, lower)
-    np.einsum("ii->i", lower)[...] = pivots
+    diagonal[...] = pivots
     for a in (entries, lower, variances, pivots, off_squares):
         a.flags.writeable = False
     return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, variances=variances,
@@ -224,7 +225,8 @@ def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     _check_dim(dim)  # the first draw of every random matrix and spectrum: refuse before drawing
-    return np.exp([rng.uniform(log_lo, log_hi, size=dim) for rng in rngs])
+    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), here applied to the whole stack.
+    return np.exp(log_lo + (log_hi - log_lo) * np.array([rng.random(dim) for rng in rngs]))
 
 
 def _random_symmetric(dim: int, rngs: list[np.random.Generator],

@@ -22,11 +22,12 @@ configuration line names the kernel core picked for this CPU) and its thread
 count, and scipy's OpenBLAS version.  The hex at m >= 64 and the ``gen``
 hashes move with these, so when the saved header differs from the current
 one, ``--against`` says so and compares only the campaign reports'
-``trials``, ``violations`` and ``config_digest``.  The 145 lines after the
-header follow.  The first 37 are campaign reports: ``check_prop3`` at dims 1-8
-and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over seven
-block structures (100 trials), and ``check_prop1``/``check_c1`` at dims 1-3
-(5 trials, n = 10000), all with master seed 7.  Campaign matrices have
+``trials``, ``violations`` and ``config_digest``.  The 147 lines after the
+header follow.  The first 39 are campaign reports: ``check_prop3`` at dims 1-8
+and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over nine
+block structures (100 trials; in the last two, blocks of one size are not
+adjacent), and ``check_prop1``/``check_c1`` at dims 1-3 (5 trials,
+n = 10000), all with master seed 7.  Campaign matrices have
 m <= 8, so the next 40 lines are ``kl_gaussian`` values at m = 64, 65, 129,
 256 and 512, across the kernel's 64-row blocks: four pairs per m
 drawn at condition target 100 from seeds derived from 7, each against a
@@ -69,7 +70,8 @@ from gausskl.cli import main as cli_main
 MASTER_SEED = 7
 P3_DIMS = range(1, 9)
 P3_CONDS = (1.0, 10.0, 1e4)
-P2_STRUCTURES = ([1, 1], [2, 2], [1, 2], [2, 3], [3, 3, 2], [1, 1, 1, 1], [4, 4])
+P2_STRUCTURES = ([1, 1], [2, 2], [1, 2], [2, 3], [3, 3, 2], [1, 1, 1, 1], [4, 4], [2, 1, 2],
+                 [1, 3, 1, 3])
 MC_DIMS = (1, 2, 3)
 KL_DIMS = (64, 65, 129, 256, 512)
 KL_PAIRS = 4

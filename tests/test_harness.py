@@ -34,6 +34,40 @@ class TestDeriveSeed:
     def test_negative_master_seed_accepted(self):
         assert 0 <= derive_seed(-12345, 3) < 2 ** 64
 
+    @staticmethod
+    def _splitmix64(seed, index):
+        # The scheme in Python integers, independent of the package's uint64 arrays.
+        mask = 2 ** 64 - 1
+        z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    @pytest.mark.parametrize("master", [-7, 0, 2 ** 63, 2 ** 64 - 1, 2 ** 70 + 3])
+    def test_array_derivation_equals_scalar(self, master):
+        # Campaigns derive a chunk's seeds as one uint64 array; no overflow warning is raised.
+        seeds = harness._derive_seeds(np.uint64(master % 2 ** 64), np.arange(4, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master, i) for i in range(4)]
+        assert seeds.tolist() == [self._splitmix64(master, i) for i in range(4)]
+        streams = harness._derive_seeds(seeds, np.arange(3, dtype=np.uint64)[:, None])
+        assert streams.tolist() == [[derive_seed(s, i) for s in seeds.tolist()] for i in range(3)]
+
+    def test_empty_array(self):
+        seeds = harness._derive_seeds(np.uint64(5), np.arange(0, dtype=np.uint64))
+        assert seeds.shape == (0,) and seeds.dtype == np.uint64
+
+
+class TestLogUniform:
+    # One affine map over the stacked rng.random draws gives numpy's uniform bit for bit.
+    @pytest.mark.parametrize("lo, hi", [(-354.9, 354.9), harness._LOG_VARIANCE_RANGE,
+                                        (0.25, 0.25)], ids=["wide", "variance-range", "lo-is-hi"])
+    def test_equals_generator_uniform(self, lo, hi):
+        seeds = [derive_seed(11, i) for i in range(6)]
+        got = linalg._log_uniform(5, [np.random.default_rng(s) for s in seeds], lo, hi)
+        expected = np.exp([np.random.default_rng(s).uniform(lo, hi, 5) for s in seeds])
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestGenerators:
     # Campaign chunks hash their seeds in one pass; every generator must be
@@ -256,7 +290,8 @@ class TestChunkedCampaigns:
         violations, worst = oracles.fold_slacks(expected, harness.CLOSED_FORM_TOL)
         assert (report.violations, report.worst_margin.hex()) == (violations, worst.hex())
 
-    @pytest.mark.parametrize("dims", [[1, 1], [2, 3], [3, 3, 2], [1, 1, 1, 1]])
+    @pytest.mark.parametrize("dims", [[1, 1], [2, 3], [3, 3, 2], [1, 1, 1, 1], [2, 1, 2],
+                                      [1, 3, 1, 3], [2, 2, 2, 2]])
     def test_p2_matches_per_trial_oracle(self, chunk_rows, dims):
         report = check_prop2(dims, 40, 23, 1e3)
         expected = [oracles.p2_trial(dims, derive_seed(23, t), 1e3) for t in range(40)]
@@ -272,6 +307,34 @@ class TestChunkedCampaigns:
         whole = [_bits(c()) for c in campaigns]
         monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", budget)
         assert [_bits(c()) for c in campaigns] == whole
+
+
+class TestCallsPerChunk:
+    # A chunk makes one stacked call per shape: one hash of its generators, no scalar
+    # derive_seed, and one _kl for p3; for p2 one _kl per distinct block size plus the joint one.
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"derive_seed": 0, "_generators": 0, "_kl": 0}
+        for name in counts:
+            real = getattr(harness, name)
+
+            def counting(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, counting)
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 3 * 16)  # 3 trials per chunk at dim 4
+        return counts
+
+    def test_p3(self, calls):
+        check_prop3(10, 4, 2, 100.0)  # 4 chunks
+        assert calls == {"derive_seed": 0, "_generators": 4, "_kl": 4}
+
+    @pytest.mark.parametrize("dims, kls", [([2, 2], 2), ([1, 3], 3), ([1, 2, 1], 3),
+                                           ([1, 1, 1, 1], 2)])
+    def test_p2(self, calls, dims, kls):
+        check_prop2(dims, 10, 2)  # total dim 4: 4 chunks
+        assert calls == {"derive_seed": 0, "_generators": 4, "_kl": 4 * kls}
 
 
 class TestDrawnInstances:

@@ -152,14 +152,14 @@ def kl_gap_diagonal(lx: DiagSpectrum, sy: SpdMatrix) -> GapReport:
 
     The gap does not depend on lx: it is the total correlation of y,
     0.5 * (sum ln Sy_ii - ln det Sy) (Hadamard's inequality).  As
-    Sy_ii = L_ii^2 + sum_{j<i} L_ij^2, it is summed here as
-    0.5 * sum log1p(off_squares_i / L_ii^2) over sy's ``off_squares`` and
-    ``pivots`` (L's diagonal): every term is >= 0 and relative-accurate, so
-    correlations far below eps are kept, and the gap is +0.0 for a diagonal sy.
-    O(m), reading no m x m array.
+    Sy_ii / L_ii^2 = 1 + sum_{j<i} (L_ij / L_ii)^2, it is summed here as
+    0.5 * sum log1p(relative_off_squares_i) over sy's stored row sums: every
+    term is >= 0 and relative-accurate, so correlations far below eps are kept
+    at any scale of sy, and the gap is +0.0 for a diagonal sy.  O(m), reading
+    no m x m array.
     """
     bound = diagonal_lower_bound(lx, sy)
-    gap = 0.5 * float(np.sum(np.log1p(sy.off_squares / sy.pivots ** 2)))
+    gap = 0.5 * float(np.sum(np.log1p(sy.relative_off_squares)))
     return GapReport(kl_exact=bound + gap, bound=bound, gap=gap)
 
 

@@ -3,7 +3,8 @@
 Each check returns, per trial, the slack of its inequality plus, where there
 is one, the slack of its equality case, ``-|deviation|``.  ``_campaign`` folds
 them into a report instead of raising: a trial violates when any of its
-slacks falls below -tolerance; the worst margin is the minimum slack.
+slacks falls below -tolerance; the worst margin is the first minimum among
+the slacks that are not NaN.
 Closed-form checks use an absolute tolerance of 1e-10 nats; Monte Carlo
 checks fold a 4-standard-error band into the slack and use tolerance 0, which
 puts the two-sided failure probability per check around 0.006%.
@@ -28,8 +29,8 @@ import numpy as np
 
 from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, MixtureModel, build_matched_mixture, mc_kl
-from .linalg import (DiagSpectrum, SpdMatrix, _block_stack, _certified, _check_dim, _diag_lower,
-                     _factor, _log_uniform, _random_symmetric)
+from .linalg import (DiagSpectrum, SpdMatrix, _certified, _check_dim, _diag_lower, _factor,
+                     _log_uniform, _random_symmetric)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -44,19 +45,16 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _CHUNK_ELEMENTS = 2 ** 16  # trials * dim**2 per chunk (at least one trial) bounds its stacks
 
 
-def derive_seed(seed: int, index: int) -> int:
+def derive_seed(seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
     """Mix a seed with a counter index into a fresh 64-bit seed.
 
     splitmix64 finalizer applied to ``seed + (index + 1) * golden_gamma``.
     This is the documented scheme tying every per-trial generator back to the
-    campaign master seed.
+    campaign master seed.  It takes Python ints (any sign and size, taken
+    modulo 2**64) or broadcast uint64 arrays, whose arithmetic wraps silently;
+    a campaign chunk derives its trial and stream seeds as such arrays.
     """
-    return _derive_seeds(seed, index)
-
-
-def _derive_seeds(seeds: int | np.ndarray, indices: int | np.ndarray) -> int | np.ndarray:
-    # The one splitmix64, on ints or broadcast uint64 arrays (these wrap silently; scalars warn).
-    z = (seeds + (indices + 1) * _GOLDEN) & _MASK64
+    z = (seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -168,13 +166,13 @@ def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: st
     violations = 0
     worst = math.inf
     for start in range(0, trials, step):
-        seeds = _derive_seeds(master_seed & _MASK64,
-                              np.arange(start, min(start + step, trials), dtype=np.uint64))
-        for slacks in np.asarray(chunk(seeds), dtype=float).tolist():
-            # any(), not min(slacks) < -tol: a NaN first slack must not hide the rest.
-            if any(s < -tol for s in slacks):
-                violations += 1
-            worst = min(worst, *slacks)
+        seeds = derive_seed(master_seed & _MASK64,
+                            np.arange(start, min(start + step, trials), dtype=np.uint64))
+        rows = np.asarray(chunk(seeds), dtype=float)
+        violations += int(np.count_nonzero((rows < -tol).any(axis=1)))  # a NaN never violates
+        kept = rows[~np.isnan(rows)]  # in trial order; argmin takes the first of equal minima
+        if kept.size:
+            worst = min(worst, float(kept[kept.argmin()]))  # replaced only when strictly lower
     digest = f"prop={prop} {settings} master_seed={master_seed} scheme=splitmix64"
     return PropertyReport(prop, trials, violations, worst, digest)
 
@@ -210,7 +208,7 @@ def check_prop3(trials: int, dim: int, master_seed: int,
     """
     def chunk(seeds: np.ndarray) -> np.ndarray:
         n = len(seeds)
-        rngs = _generators(_derive_seeds(seeds, np.arange(2, dtype=np.uint64)[:, None]).ravel())
+        rngs = _generators(derive_seed(seeds, np.arange(2, dtype=np.uint64)[:, None]).ravel())
         vx = _log_uniform(dim, rngs[:n], *_LOG_VARIANCE_RANGE)
         sy = _random_symmetric(dim, rngs[n:], condition_target)
         vy = np.diagonal(sy, axis1=1, axis2=2)
@@ -245,20 +243,20 @@ def check_prop2(block_dims: Sequence[int], trials: int, master_seed: int,
         # drawn, factored and scored against sy's marginals as one stack.
         n = len(seeds)
         streams = np.arange(len(dims) + 1, dtype=np.uint64)[:, None]
-        rngs = _generators(_derive_seeds(seeds, streams).ravel())
+        rngs = _generators(derive_seed(seeds, streams).ravel())
         sy = _random_symmetric(total, rngs[len(dims) * n:], condition_target)
-        parts = {}  # block index -> (factor, factor of sy's marginal, their KL), n rows each
+        lx, sub = np.zeros((2, n, total, total))  # block-diagonal factors: reference, marginals
+        kls = np.empty((len(dims), n))
         for d in dict.fromkeys(dims):
             idx = [i for i, e in enumerate(dims) if e == d]
             draws = [g for i in idx for g in rngs[i * n:(i + 1) * n]]
             ref = _factor(_random_symmetric(d, draws, condition_target))
             marg = _factor(np.concatenate([sy[:, a:a + d, a:a + d] for a in offsets[idx]]))
-            kl = _kl(ref, marg)
-            parts.update(zip(idx, zip(*(x.reshape(-1, n, *x.shape[1:]) for x in (ref, marg, kl)))))
-        blocks, sub, kls = zip(*(parts[i] for i in range(len(dims))))
+            kls[idx] = _kl(ref, marg).reshape(len(idx), n)
+            for a, r, s in zip(offsets[idx], ref.reshape(-1, n, d, d), marg.reshape(-1, n, d, d)):
+                lx[:, a:a + d, a:a + d], sub[:, a:a + d, a:a + d] = r, s
         marginal_sum = sum(kls)  # in block order
-        lx = _block_stack(blocks)
-        kl = _kl(np.concatenate([lx, lx]), np.concatenate([_factor(sy), _block_stack(sub)]))
+        kl = _kl(np.concatenate([lx, lx]), np.concatenate([_factor(sy), sub]))
         return np.stack([kl[:n] - marginal_sum, -np.abs(kl[n:] - marginal_sum)], axis=1)
 
     settings = (f"blocks={'x'.join(str(d) for d in dims)} trials={trials} "

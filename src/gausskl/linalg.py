@@ -84,8 +84,9 @@ class SpdMatrix:
     Two routes build one: :func:`validate_spd` factors, and :meth:`DiagSpectrum.as_matrix`
     takes a spectrum's square roots.  ``lower`` is the lower-triangular Cholesky factor
     (``lower @ lower.T`` reconstructs ``entries``), ``variances`` and ``pivots`` contiguous
-    copies of their diagonals, ``off_squares[i]`` the sum of ``lower[i, :i]**2``, and
-    ``log_det`` is ``2 * sum(log(pivots))``.  All are read-only.
+    copies of their diagonals, ``relative_off_squares[i]`` the sum of
+    ``(lower[i, :i] / pivots[i])**2``, and ``log_det`` is ``2 * sum(log(pivots))``.  All are
+    read-only.
     """
 
     dim: int
@@ -94,7 +95,7 @@ class SpdMatrix:
     log_det: float
     variances: np.ndarray
     pivots: np.ndarray
-    off_squares: np.ndarray
+    relative_off_squares: np.ndarray
 
     def diagonal(self) -> "DiagSpectrum":
         """The diagonal variances as a spectrum (always positive for SPD)."""
@@ -194,29 +195,16 @@ def _factor(sym: np.ndarray) -> np.ndarray:
 
 def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
     # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Its vectors are
-    # taken while in cache.  The row sums skip lower's diagonal by zeroing it, not by cancelling.
+    # taken while in cache.  The row sums skip the unit diagonal by zeroing it, not by cancelling.
     variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower).copy()
-    diagonal = lower.reshape(-1)[::lower.shape[0] + 1]  # a view: lower is fresh and C-ordered
-    diagonal[...] = 0.0
-    off_squares = np.einsum("ij,ij->i", lower, lower)
-    diagonal[...] = pivots
-    for a in (entries, lower, variances, pivots, off_squares):
+    ratios = lower / pivots[:, None]  # divided before squaring: no square underflows or overflows
+    np.fill_diagonal(ratios, 0.0)
+    relative_off_squares = np.einsum("ij,ij->i", ratios, ratios)
+    for a in (entries, lower, variances, pivots, relative_off_squares):
         a.flags.writeable = False
     return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, variances=variances,
-                     pivots=pivots, off_squares=off_squares,
+                     pivots=pivots, relative_off_squares=relative_off_squares,
                      log_det=2.0 * float(np.sum(np.log(pivots))))
-
-
-def _block_stack(parts: list[np.ndarray]) -> np.ndarray:
-    # (..., d_b, d_b) parts placed on the diagonal of a zero (..., D, D) stack.
-    dim = sum(p.shape[-1] for p in parts)
-    _check_dim(dim)
-    out = np.zeros(parts[0].shape[:-2] + (dim, dim))
-    start = 0
-    for p in parts:
-        out[..., start:start + p.shape[-1], start:start + p.shape[-1]] = p
-        start += p.shape[-1]
-    return out
 
 
 def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,

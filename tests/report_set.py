@@ -19,10 +19,12 @@ Each line is JSON, with its value written by ``float.hex`` so a changed bit
 shows.  The first line is a header naming what the bits depend on besides
 the code: the numpy and scipy versions, numpy's OpenBLAS as loaded (its
 configuration line names the kernel core picked for this CPU) and its thread
-count, and scipy's OpenBLAS version.  The hex at m >= 64 and the ``gen``
-hashes move with these, so when the saved header differs from the current
-one, ``--against`` says so and compares only the campaign reports'
-``trials``, ``violations`` and ``config_digest``.  The 147 lines after the
+count, scipy's OpenBLAS version, and the SIMD dispatch targets numpy enabled
+for this CPU (its ``exp``, ``log`` and ``log1p`` kernels differ in the last
+bit between them).  The hex values and the ``gen`` hashes move with these, so
+when the saved header differs from the current one, ``--against`` says so
+and compares only the campaign reports' ``trials``, ``violations`` and
+``config_digest``.  The 147 lines after the
 header follow.  The first 39 are campaign reports: ``check_prop3`` at dims 1-8
 and condition targets 1, 10 and 1e4 (200 trials), ``check_prop2`` over nine
 block structures (100 trials; in the last two, blocks of one size are not
@@ -62,6 +64,11 @@ from itertools import zip_longest
 import numpy as np
 import scipy
 
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
+
 from gausskl import (GaussianModel, build_matched_mixture, check_c1, check_prop1, check_prop2,
                      check_prop3, derive_seed, diagonal_lower_bound, kl_gap_diagonal, kl_gaussian,
                      mc_kl, random_diag_spectrum, random_spd, write_matrix_csv)
@@ -91,7 +98,8 @@ def header() -> dict:
     config, threads = _openblas()
     return {"header": "report_set", "numpy": np.__version__, "scipy": scipy.__version__,
             "numpy_openblas": config, "openblas_threads": threads,
-            "scipy_openblas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]}
+            "scipy_openblas": scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"],
+            "numpy_simd": [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)]}
 
 
 def _openblas() -> tuple:

@@ -361,6 +361,22 @@ class TestKlGapDiagonal:
         rep = kl_gap_diagonal(spectrum(1, 1), validate_spd([[1.0, 1e-9], [1e-9, 1.0]]))
         assert rep.gap == rep.kl_exact == pytest.approx(5e-19, rel=1e-15, abs=0.0)
 
+    def test_gap_matches_mpmath_at_the_ends_of_the_double_range(self):
+        # Each factor row is divided by its pivot before it is squared, so no
+        # square underflows, and none overflows.
+        subjects = [weakly_correlated(m, rho, seed) * scale for scale in (1e-300, 1e306)
+                    for m in (2, 5, 8) for rho in (1e-1, 1e-5, 1e-9) for seed in range(2)]
+        for i, sy in enumerate(subjects):
+            gap = kl_gap_diagonal(spectrum(*[1.0] * len(sy)), validate_spd(sy)).gap
+            gap_true = kl_mpmath(np.diag(np.diag(sy)), sy)
+            assert abs(gap - gap_true) <= 1e-13 * gap_true, i
+
+        # Subnormal variances: the squares of the factor's entries all underflow
+        # to 0, but the ratios to the pivots keep the correlation.
+        sy = np.array([[1e-320, 5e-324], [5e-324, 1e-320]])
+        gap = kl_gap_diagonal(spectrum(1, 1), validate_spd(sy)).gap
+        assert abs(gap - kl_mpmath(np.diag(np.diag(sy)), sy)) <= CLOSED_FORM_TOL
+
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_o_m_kernels_read_no_matrix(self, m):
         # The bound, the gap and diagonal() read only the certified diagonals,

@@ -46,15 +46,15 @@ class TestDeriveSeed:
     @pytest.mark.parametrize("master", [-7, 0, 2 ** 63, 2 ** 64 - 1, 2 ** 70 + 3])
     def test_array_derivation_equals_scalar(self, master):
         # Campaigns derive a chunk's seeds as one uint64 array; no overflow warning is raised.
-        seeds = harness._derive_seeds(np.uint64(master % 2 ** 64), np.arange(4, dtype=np.uint64))
+        seeds = derive_seed(np.uint64(master % 2 ** 64), np.arange(4, dtype=np.uint64))
         assert seeds.dtype == np.uint64
         assert seeds.tolist() == [derive_seed(master, i) for i in range(4)]
         assert seeds.tolist() == [self._splitmix64(master, i) for i in range(4)]
-        streams = harness._derive_seeds(seeds, np.arange(3, dtype=np.uint64)[:, None])
+        streams = derive_seed(seeds, np.arange(3, dtype=np.uint64)[:, None])
         assert streams.tolist() == [[derive_seed(s, i) for s in seeds.tolist()] for i in range(3)]
 
     def test_empty_array(self):
-        seeds = harness._derive_seeds(np.uint64(5), np.arange(0, dtype=np.uint64))
+        seeds = derive_seed(np.uint64(5), np.arange(0, dtype=np.uint64))
         assert seeds.shape == (0,) and seeds.dtype == np.uint64
 
 
@@ -244,11 +244,23 @@ class TestViolationCounting:
         assert report.violations == report.trials == 6
         assert report.worst_margin <= -1.0
 
-    def test_nan_slack_does_not_hide_a_violation(self):
-        report = harness._campaign("p3", 3, 0, 1e-10, "test", 1,
-                                   lambda seeds: [(math.nan, -1.0)] * len(seeds))
-        assert report.violations == 3
-        assert report.worst_margin == -1.0
+    @pytest.mark.parametrize("rows, budget", [
+        ([(math.nan, -1.0)] * 3, 1),
+        ([(0.0, -0.0)] * 2, 2),  # equal minima in one row: the first stays
+        ([(-0.0, 0.0)] * 2, 2),
+        ([(1.0, 0.0), (-0.0, 2.0), (0.0, -0.0)], 1),  # equal minima in different chunks
+        ([(math.nan, math.nan)] * 2 + [(3.0, math.nan)], 2),  # a chunk of NaN slacks only
+        ([(math.nan, math.nan)] * 2, 1),
+        ([(math.nan, -1e-9), (-1e-11, math.nan), (0.5, -2.0), (math.nan, 1.0)], 3),
+    ])
+    def test_nan_slack_does_not_hide_a_violation(self, monkeypatch, rows, budget):
+        # The fold against oracles.fold_slacks, by hex, with budget trials per chunk at dim 1.
+        monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", budget)
+        chunks = iter([rows[i:i + budget] for i in range(0, len(rows), budget)])
+        report = harness._campaign("p3", len(rows), 0, 1e-10, "test", 1,
+                                   lambda seeds: next(chunks))
+        violations, worst = oracles.fold_slacks(rows, 1e-10)
+        assert (report.violations, report.worst_margin.hex()) == (violations, worst.hex())
 
 
 def _bits(report):
@@ -310,16 +322,18 @@ class TestChunkedCampaigns:
 
 
 class TestCallsPerChunk:
-    # A chunk makes one stacked call per shape: one hash of its generators, no scalar
-    # derive_seed, and one _kl for p3; for p2 one _kl per distinct block size plus the joint one.
+    # A chunk makes one stacked call per shape: one array derive_seed for its trial seeds
+    # and one for their stream seeds, no derive_seed on Python ints, one hash of its
+    # generators, and one _kl for p3; for p2 one _kl per distinct block size plus the joint one.
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {"derive_seed": 0, "_generators": 0, "_kl": 0}
-        for name in counts:
+        counts = {"derive_seed": 0, "derive_seed on ints": 0, "_generators": 0, "_kl": 0}
+        for name in ("derive_seed", "_generators", "_kl"):
             real = getattr(harness, name)
 
             def counting(*args, name=name, real=real):
-                counts[name] += 1
+                ints = name == "derive_seed" and not any(isinstance(a, np.ndarray) for a in args)
+                counts[name + " on ints" if ints else name] += 1
                 return real(*args)
 
             monkeypatch.setattr(harness, name, counting)
@@ -328,13 +342,14 @@ class TestCallsPerChunk:
 
     def test_p3(self, calls):
         check_prop3(10, 4, 2, 100.0)  # 4 chunks
-        assert calls == {"derive_seed": 0, "_generators": 4, "_kl": 4}
+        assert calls == {"derive_seed": 8, "derive_seed on ints": 0, "_generators": 4, "_kl": 4}
 
     @pytest.mark.parametrize("dims, kls", [([2, 2], 2), ([1, 3], 3), ([1, 2, 1], 3),
                                            ([1, 1, 1, 1], 2)])
     def test_p2(self, calls, dims, kls):
         check_prop2(dims, 10, 2)  # total dim 4: 4 chunks
-        assert calls == {"derive_seed": 0, "_generators": 4, "_kl": 4 * kls}
+        assert calls == {"derive_seed": 8, "derive_seed on ints": 0, "_generators": 4,
+                         "_kl": 4 * kls}
 
 
 class TestDrawnInstances:

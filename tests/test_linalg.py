@@ -4,7 +4,6 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import block_diag
 
 from gausskl import (
     AsymmetryExceedsTolerance,
@@ -25,7 +24,7 @@ from gausskl import (
     write_matrix_csv,
 )
 from gausskl import divergence, estimators, linalg
-from gausskl.linalg import MAX_DIM, DiagSpectrum, _block_stack
+from gausskl.linalg import MAX_DIM, DiagSpectrum
 
 
 class TestValidateSpd:
@@ -348,25 +347,27 @@ class TestDiagSpectrum:
                 assert fast.lower.tobytes() == dense.lower.tobytes()
                 assert fast.variances.tobytes() == dense.variances.tobytes()
                 assert fast.pivots.tobytes() == dense.pivots.tobytes()
-                assert fast.off_squares.tobytes() == dense.off_squares.tobytes()
+                assert fast.relative_off_squares.tobytes() == dense.relative_off_squares.tobytes()
                 assert fast.log_det.hex() == dense.log_det.hex()
                 assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_certified_diagonals(self, m):
         # variances and pivots are read-only contiguous copies of the two
-        # diagonals, off_squares the strict-lower row sums of squares of lower,
-        # and log_det keeps the bits of the sum over diag(lower).  Taking the
-        # row sums leaves lower numpy's factor, bit for bit.
+        # diagonals, relative_off_squares the row sums of squares of lower's
+        # strict-lower rows divided by their pivots, and log_det keeps the bits
+        # of the sum over diag(lower).  Taking the row sums leaves lower numpy's
+        # factor, bit for bit.
         v = np.exp(np.random.default_rng(m).uniform(-30.0, 30.0, size=m))
         dense, diagonal = random_spd(m, m, 1e4).entries, DiagSpectrum.from_variances(v)
         for a in (validate_spd(dense), diagonal.as_matrix()):
             assert a.lower.tobytes() == np.linalg.cholesky(a.entries).tobytes()
             assert a.variances.tobytes() == np.diag(a.entries).tobytes()
             assert a.pivots.tobytes() == np.diag(a.lower).tobytes()
-            strict = np.tril(a.lower, -1)
-            assert a.off_squares.tobytes() == np.einsum("ij,ij->i", strict, strict).tobytes()
-            for vector in (a.variances, a.pivots, a.off_squares):
+            strict = np.tril(a.lower, -1) / a.pivots[:, None]
+            assert a.relative_off_squares.tobytes() == np.einsum("ij,ij->i", strict,
+                                                                 strict).tobytes()
+            for vector in (a.variances, a.pivots, a.relative_off_squares):
                 assert vector.flags.c_contiguous and not vector.flags.writeable
             assert a.log_det.hex() == (2.0 * float(np.sum(np.log(np.diag(a.lower))))).hex()
 
@@ -374,31 +375,6 @@ class TestDiagSpectrum:
         lx = DiagSpectrum.from_variances(np.ones(MAX_DIM + 1))
         with pytest.raises(ValueError, match="exceeds supported maximum"):
             lx.as_matrix()
-
-
-class TestBlockDiagonal:
-    def test_stack_places_blocks_as_block_diag(self):
-        # p2 assembles its block-diagonal factors from (T, d, d) stacks of
-        # certified blocks: each slice equals scipy's block_diag bit for bit.
-        structures = [[1], [1, 1], [2, 2], [1, 2], [3, 3, 2], [4, 1, 3, 2], [8, 5]]
-        for seed, dims in enumerate(structures):
-            blocks = [[random_spd(d, derive_seed(seed, 3 * t + i), 1e4) for t in range(3)]
-                      for i, d in enumerate(dims)]
-            blocks.append([DiagSpectrum.from_variances([1e-3, 7.0, 1e3 * (t + 1)]).as_matrix()
-                           for t in range(3)])
-            for field in ("entries", "lower"):
-                stacks = [np.stack([getattr(b, field) for b in block]) for block in blocks]
-                assembled = _block_stack(stacks)
-                assert assembled.shape == (3, sum(dims) + 3, sum(dims) + 3)
-                for t in range(3):
-                    expected = block_diag(*[stack[t] for stack in stacks])
-                    assert assembled[t].tobytes() == expected.tobytes()
-
-    def test_stack_rejects_dimension_above_max(self):
-        half = np.ones((2, MAX_DIM // 2, MAX_DIM // 2))
-        assert _block_stack([half, half]).shape == (2, MAX_DIM, MAX_DIM)
-        with pytest.raises(ValueError, match="exceeds supported maximum"):
-            _block_stack([half, half, np.ones((2, 1, 1))])
 
 
 class TestCsvRoundTrip:

@@ -73,6 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_report(command: str, inputs: dict, results: dict) -> None:
+    # The kl (json) and gen report: one JSON object on stdout; verify prints its own schema.
+    print(json.dumps({"command": command, "inputs": inputs, "results": results, "status": "ok"}))
+
+
 def _cmd_kl(args) -> int:
     sx = validate_spd(read_matrix_csv(args.x))
     sy = validate_spd(read_matrix_csv(args.y))
@@ -85,14 +90,8 @@ def _cmd_kl(args) -> int:
         if not math.isfinite(value):
             raise GaussKlError(f"non-finite result for {key}: {value!r}")
 
-    report = {
-        "command": "kl",
-        "inputs": {"x": args.x, "y": args.y, "dim": sx.dim},
-        "results": results,
-        "status": "ok",
-    }
     if args.format == "json":
-        print(json.dumps(report))
+        _print_report("kl", {"x": args.x, "y": args.y, "dim": sx.dim}, results)
     else:
         for key, value in results.items():
             print(f"{key} = {value!r}")
@@ -141,15 +140,8 @@ def _cmd_gen(args) -> int:
     else:
         matrix = random_spd(args.dim, args.seed, args.cond).entries
     write_matrix_csv(args.out, matrix)  # already certified, and written losslessly
-
-    report = {
-        "command": "gen",
-        "inputs": {"dim": args.dim, "seed": args.seed, "cond": args.cond,
-                   "diagonal": bool(args.diagonal)},
-        "results": {"out": args.out},
-        "status": "ok",
-    }
-    print(json.dumps(report))
+    _print_report("gen", {"dim": args.dim, "seed": args.seed, "cond": args.cond,
+                          "diagonal": bool(args.diagonal)}, {"out": args.out})
     return 0
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -50,11 +51,14 @@ def derive_seed(seed: int | np.ndarray, index: int | np.ndarray) -> int | np.nda
 
     splitmix64 finalizer applied to ``seed + (index + 1) * golden_gamma``.
     This is the documented scheme tying every per-trial generator back to the
-    campaign master seed.  It takes Python ints (any sign and size, taken
-    modulo 2**64) or broadcast uint64 arrays, whose arithmetic wraps silently;
-    a campaign chunk derives its trial and stream seeds as such arrays.
+    campaign master seed.  Each argument is an integer (Python or numpy, any sign
+    and size) or an integer-dtype array, taken modulo 2**64; a float raises
+    TypeError.  Arrays broadcast as uint64, whose arithmetic wraps silently; a
+    campaign chunk derives its trial and stream seeds as such arrays.
     """
-    z = (seed + (index + 1) * _GOLDEN) & _MASK64
+    seed, index = [v.astype(np.uint64, copy=False) if getattr(v, "ndim", 0) and
+                   v.dtype.kind in "iu" else operator.index(v) & _MASK64 for v in (seed, index)]
+    z = (seed + ((index + 1) * _GOLDEN & _MASK64)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -166,8 +170,7 @@ def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: st
     violations = 0
     worst = math.inf
     for start in range(0, trials, step):
-        seeds = derive_seed(master_seed & _MASK64,
-                            np.arange(start, min(start + step, trials), dtype=np.uint64))
+        seeds = derive_seed(master_seed, np.arange(start, min(start + step, trials)))
         rows = np.asarray(chunk(seeds), dtype=float)
         violations += int(np.count_nonzero((rows < -tol).any(axis=1)))  # a NaN never violates
         kept = rows[~np.isnan(rows)]  # in trial order; argmin takes the first of equal minima

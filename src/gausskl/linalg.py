@@ -83,10 +83,10 @@ class SpdMatrix:
 
     Two routes build one: :func:`validate_spd` factors, and :meth:`DiagSpectrum.as_matrix`
     takes a spectrum's square roots.  ``lower`` is the lower-triangular Cholesky factor
-    (``lower @ lower.T`` reconstructs ``entries``), ``variances`` and ``pivots`` contiguous
-    copies of their diagonals, ``relative_off_squares[i]`` the sum of
-    ``(lower[i, :i] / pivots[i])**2``, and ``log_det`` is ``2 * sum(log(pivots))``.  All are
-    read-only.
+    (``lower @ lower.T`` reconstructs ``entries``), ``variances`` a contiguous copy of
+    ``entries``' diagonal, ``relative_off_squares[i]`` the sum of
+    ``(lower[i, :i] / lower[i, i])**2``, and ``log_det`` is ``2 * sum(log(diag(lower)))``.
+    All are read-only.
     """
 
     dim: int
@@ -94,7 +94,6 @@ class SpdMatrix:
     lower: np.ndarray
     log_det: float
     variances: np.ndarray
-    pivots: np.ndarray
     relative_off_squares: np.ndarray
 
     def diagonal(self) -> "DiagSpectrum":
@@ -196,14 +195,14 @@ def _factor(sym: np.ndarray) -> np.ndarray:
 def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
     # The one SpdMatrix constructor; both arrays are fresh, so frozen in place.  Its vectors are
     # taken while in cache.  The row sums skip the unit diagonal by zeroing it, not by cancelling.
-    variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower).copy()
+    variances, pivots = np.diagonal(entries).copy(), np.diagonal(lower)
     ratios = lower / pivots[:, None]  # divided before squaring: no square underflows or overflows
     np.fill_diagonal(ratios, 0.0)
     relative_off_squares = np.einsum("ij,ij->i", ratios, ratios)
-    for a in (entries, lower, variances, pivots, relative_off_squares):
+    for a in (entries, lower, variances, relative_off_squares):
         a.flags.writeable = False
     return SpdMatrix(dim=entries.shape[0], entries=entries, lower=lower, variances=variances,
-                     pivots=pivots, relative_off_squares=relative_off_squares,
+                     relative_off_squares=relative_off_squares,
                      log_det=2.0 * float(np.sum(np.log(pivots))))
 
 

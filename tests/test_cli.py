@@ -500,6 +500,22 @@ def test_oversize_dimension_refused_before_any_draw(capsys, monkeypatch, argv):
     assert "error: ValueError: dimension 5000000 exceeds supported maximum 512" in err
 
 
+def test_kl_and_gen_reports_keep_their_key_order(tmp_path, capsys):
+    # One envelope for both commands: command, inputs, results, status, in that order.
+    out = tmp_path / "g.csv"
+    code, gen_out, _ = run(capsys, "gen", "--dim", "3", "--seed", "1", "--out", str(out))
+    assert code == 0
+    assert gen_out == ('{"command": "gen", "inputs": {"dim": 3, "seed": 1, "cond": 10.0, '
+                       f'"diagonal": false}}, "results": {{"out": {json.dumps(str(out))}}}, '
+                       '"status": "ok"}\n')
+    code, kl_out, _ = run(capsys, "kl", "--x", str(out), "--y", str(out))
+    assert code == 0
+    report = json.loads(kl_out)
+    assert list(report) == ["command", "inputs", "results", "status"]
+    assert report["command"] == "kl" and report["status"] == "ok"
+    assert list(report["inputs"]) == ["x", "y", "dim"]
+
+
 def test_numbers_round_trip_through_json(tmp_path, capsys):
     x = tmp_path / "x.csv"
     y = tmp_path / "y.csv"

@@ -57,6 +57,36 @@ class TestDeriveSeed:
         seeds = derive_seed(np.uint64(5), np.arange(0, dtype=np.uint64))
         assert seeds.shape == (0,) and seeds.dtype == np.uint64
 
+    @pytest.mark.parametrize("seed, index", [(5, 3), (-7, 0), (2 ** 64 - 1, 2), (2 ** 70 + 3, 1)])
+    def test_numpy_integers_and_integer_arrays(self, seed, index):
+        # Any integer argument, numpy scalars and int64 arrays included (an np.arange
+        # sweep), is taken modulo 2**64, in either position, with no overflow warning.
+        want = self._splitmix64(seed, index)
+        word = seed % 2 ** 64
+        scalars = [np.uint64(word)] + ([np.int64(seed)] if -2 ** 63 <= seed < 2 ** 63 else [])
+        for s in scalars:
+            assert derive_seed(s, np.int64(index)) == want
+            assert type(derive_seed(s, np.int64(index))) is int
+        assert derive_seed(seed, np.arange(index + 1))[-1] == want
+        assert derive_seed(np.array([word], dtype=np.uint64), index).tolist() == [want]
+        if seed < 2 ** 63:
+            assert derive_seed(np.array([seed]), np.array([index])).tolist() == [want]
+
+    @pytest.mark.parametrize("seed, index", [(5, 3.0), (np.float64(5), 3), (5, np.arange(2.0)),
+                                             (np.array([1.5]), 0), (5, np.array([True]))])
+    def test_non_integers_rejected(self, seed, index):
+        with pytest.raises(TypeError):
+            derive_seed(seed, index)
+
+    @pytest.mark.parametrize("master", [np.int64(1), np.uint64(1), np.int32(-7)])
+    def test_numpy_integer_master_seeds(self, master):
+        # Each campaign reports exactly what the equal Python-int master seed gives.
+        plain = int(master)
+        assert check_prop3(3, 2, master, 10.0) == check_prop3(3, 2, plain, 10.0)
+        assert check_prop2([2, 2], 3, master) == check_prop2([2, 2], 3, plain)
+        assert check_prop1(1, 2, master, 10_000) == check_prop1(1, 2, plain, 10_000)
+        assert check_c1(1, 1, master, 10_000) == check_c1(1, 1, plain, 10_000)
+
 
 class TestLogUniform:
     # One affine map over the stacked rng.random draws gives numpy's uniform bit for bit.

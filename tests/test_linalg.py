@@ -346,16 +346,16 @@ class TestDiagSpectrum:
                 assert fast.entries.tobytes() == dense.entries.tobytes()
                 assert fast.lower.tobytes() == dense.lower.tobytes()
                 assert fast.variances.tobytes() == dense.variances.tobytes()
-                assert fast.pivots.tobytes() == dense.pivots.tobytes()
+                assert np.diag(fast.lower).tobytes() == np.diag(dense.lower).tobytes()
                 assert fast.relative_off_squares.tobytes() == dense.relative_off_squares.tobytes()
                 assert fast.log_det.hex() == dense.log_det.hex()
                 assert not fast.entries.flags.writeable and not fast.lower.flags.writeable
 
     @pytest.mark.parametrize("m", [1, 8, 65, 512])
     def test_certified_diagonals(self, m):
-        # variances and pivots are read-only contiguous copies of the two
-        # diagonals, relative_off_squares the row sums of squares of lower's
-        # strict-lower rows divided by their pivots, and log_det keeps the bits
+        # variances is a read-only contiguous copy of the entries' diagonal,
+        # relative_off_squares the row sums of squares of lower's strict-lower
+        # rows divided by their pivots (diag(lower)), and log_det keeps the bits
         # of the sum over diag(lower).  Taking the row sums leaves lower numpy's
         # factor, bit for bit.
         v = np.exp(np.random.default_rng(m).uniform(-30.0, 30.0, size=m))
@@ -363,12 +363,12 @@ class TestDiagSpectrum:
         for a in (validate_spd(dense), diagonal.as_matrix()):
             assert a.lower.tobytes() == np.linalg.cholesky(a.entries).tobytes()
             assert a.variances.tobytes() == np.diag(a.entries).tobytes()
-            assert a.pivots.tobytes() == np.diag(a.lower).tobytes()
-            strict = np.tril(a.lower, -1) / a.pivots[:, None]
+            strict = np.tril(a.lower, -1) / np.diag(a.lower)[:, None]
             assert a.relative_off_squares.tobytes() == np.einsum("ij,ij->i", strict,
                                                                  strict).tobytes()
-            for vector in (a.variances, a.pivots, a.relative_off_squares):
+            for vector in (a.variances, a.relative_off_squares):
                 assert vector.flags.c_contiguous and not vector.flags.writeable
+            assert not hasattr(a, "pivots")  # the pivots are diag(lower), not stored again
             assert a.log_det.hex() == (2.0 * float(np.sum(np.log(np.diag(a.lower))))).hex()
 
     def test_as_matrix_rejects_dimension_above_max(self):

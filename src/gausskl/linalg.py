@@ -7,11 +7,12 @@ without factoring): every consumer reads that one factor.  The package's own
 draws are exactly symmetric and finite, so they are only factored.  Explicit
 matrix inversion is never used; every application of an inverse goes through
 triangular solves against the factor, LAPACK's ``dtrtrs`` (directly or
-through :func:`solve_triangular`), the numerically robust route for
-ill-conditioned input.  ``dtrtrs`` comes from scipy's LAPACK extension, loaded
-on its own: importing ``scipy.linalg`` would cost more start-up time than the
-rest of the package.  The kernels take (T, m, m) stacks, so a campaign factors
-a chunk of trials per LAPACK call; the public functions are stacks of one.
+through :func:`solve_triangular`, or BLAS ``dtrsm`` with its bits), the
+numerically robust route for ill-conditioned input.  Both come from scipy's
+LAPACK and BLAS extensions, each loaded on its own: importing ``scipy.linalg``
+would cost more start-up time than the rest of the package.  The kernels
+take (T, m, m) stacks, so a campaign factors a chunk of trials per LAPACK
+call; the public functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -42,25 +43,26 @@ ASYMMETRY_TOL = 1e-8
 MAX_DIM = 512
 
 
-def _load_flapack():
-    # scipy.linalg's f2py LAPACK module, loaded from its file under a private
-    # name.  The name must end in _flapack: the extension's init symbol is
-    # PyInit__flapack.  CPython lists a single-phase extension in sys.modules
+def _load_extension(name: str):
+    # scipy.linalg's f2py LAPACK (_flapack) or BLAS (_fblas) module, loaded from its
+    # file under a private name.  The name must end in `name`: the extension's init
+    # symbol is PyInit_<name>.  CPython lists a single-phase extension in sys.modules
     # as it loads; the private name is dropped from there again.
-    base = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    base = os.path.join(scipy.__path__[0], "linalg", name)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
-            spec = importlib.util.spec_from_file_location(f"{__package__}._flapack",
+            spec = importlib.util.spec_from_file_location(f"{__package__}.{name}",
                                                           base + suffix)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             sys.modules.pop(spec.name, None)
             return module
-    raise ImportError(f"scipy's LAPACK extension not found: no {base}<suffix> for any of "
+    raise ImportError(f"scipy's {name} extension not found: no {base}<suffix> for any of "
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-dtrtrs = _load_flapack().dtrtrs
+dtrtrs = _load_extension("_flapack").dtrtrs
+_dtrsm = _load_extension("_fblas").dtrsm
 
 
 def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -75,6 +77,15 @@ def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if info != 0:  # > 0: the 1-based row of a zero pivot; < 0: an illegal argument
         raise np.linalg.LinAlgError(f"singular triangular matrix: dtrtrs info {info}")
     return x
+
+
+def _solve_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # solve_triangular(a, b) for a certified factor `a` and a square `b`, with its bits, but
+    # on the calling thread: OpenBLAS runs dtrtrs on its thread pool at any size, and the
+    # pool's threads then spin on the other cores for a while.  BLAS dtrsm on the same
+    # operands gives dtrtrs's bits and runs small solves inline; at m = 1, where OpenBLAS's
+    # dtrsm multiplies by 1 / a, its dtrtrs divides.  No pivot check: a factor's pivots are > 0.
+    return b / a if a.shape[0] == 1 else _dtrsm(1.0, a.T, b, side=0, lower=0, trans_a=1)
 
 
 @dataclass(frozen=True)

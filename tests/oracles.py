@@ -5,7 +5,7 @@ hand-rolled 2x2 determinants, LU log-determinants, 60-digit mpmath) and
 deliberately shares no code with the package under test.  The exceptions are the per-trial
 campaign references at the end: they draw their instances through the
 package's single-matrix public API, trial by trial, as the reference for
-the chunked campaigns.
+the chunked campaigns; the Monte Carlo ones call ``mc_kl`` one after the other.
 """
 
 import math
@@ -15,7 +15,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag, solve_triangular
 
-from gausskl import DiagSpectrum, derive_seed, random_diag_spectrum, random_spd, validate_spd
+from gausskl import (DiagSpectrum, GaussianModel, build_matched_mixture, derive_seed,
+                     diagonal_lower_bound, kl_diagonal, kl_gaussian, mc_kl, random_diag_spectrum,
+                     random_spd, validate_spd)
+from gausskl.harness import MC_BAND_STDERRS, VARIANCE_RANGE
 
 
 def normal_log_pdf(u: float, var: float) -> float:
@@ -211,6 +214,44 @@ def p2_trial(dims: list, t_seed: int, condition_target: float) -> tuple:
     ly_bd = block_diag(*[s.lower for s in sub])
     slack_eq = -abs(kl_factors_reference(lx, ly_bd) - marginal_sum)
     return slack, slack_eq
+
+
+def scaled_spd(dim: int, seed: int):
+    """random_spd at condition target 10 times a scale log-uniform in VARIANCE_RANGE.
+
+    The scale is drawn from ``derive_seed(seed, 0)``'s stream, the matrix from
+    ``derive_seed(seed, 1)``'s; the product is certified by ``validate_spd``.
+    """
+    rng = np.random.default_rng(derive_seed(seed, 0))
+    scale = math.exp(rng.uniform(*(math.log(v) for v in VARIANCE_RANGE)))
+    return validate_spd(scale * random_spd(dim, derive_seed(seed, 1), 10.0).entries)
+
+
+def matched_mixture(sy, t_seed: int):
+    """The trial's mixture witness: weight, then spread, from derive_seed(t_seed, 2)'s stream."""
+    rng = np.random.default_rng(derive_seed(t_seed, 2))
+    return build_matched_mixture(sy, w=rng.uniform(0.2, 0.8), spread=rng.uniform(0.1, 0.9))
+
+
+def p1_trial(dim: int, t_seed: int, n_samples: int) -> tuple:
+    """One check_prop1 trial, drawn through the public API and estimated inline."""
+    sx = scaled_spd(dim, derive_seed(t_seed, 0))
+    sy = scaled_spd(dim, derive_seed(t_seed, 1))
+    est = mc_kl(matched_mixture(sy, t_seed), GaussianModel(sx), n_samples, derive_seed(t_seed, 3))
+    return (est.value - kl_gaussian(sx, sy) + MC_BAND_STDERRS * est.std_error,)
+
+
+def c1_trial(dim: int, t_seed: int, n_samples: int) -> tuple:
+    """One check_c1 trial: its two mc_kl calls one after the other, in the caller's thread."""
+    lx = random_diag_spectrum(dim, derive_seed(t_seed, 0))
+    sy = scaled_spd(dim, derive_seed(t_seed, 1))
+    x = GaussianModel(lx.as_matrix())
+    est = mc_kl(matched_mixture(sy, t_seed), x, n_samples, derive_seed(t_seed, 3))
+    slack = est.value - diagonal_lower_bound(lx, sy) + MC_BAND_STDERRS * est.std_error
+
+    ly = random_diag_spectrum(dim, derive_seed(t_seed, 4))
+    est_eq = mc_kl(GaussianModel(ly.as_matrix()), x, n_samples, derive_seed(t_seed, 5))
+    return slack, MC_BAND_STDERRS * est_eq.std_error - abs(est_eq.value - kl_diagonal(lx, ly))
 
 
 def fold_slacks(rows, tol: float) -> tuple:

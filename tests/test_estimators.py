@@ -174,13 +174,16 @@ class TestNormalization:
         two = build_matched_mixture(validate_spd(np.eye(2)), w, spread)
         assert (one.scale_one, one.scale_two) == (two.scale_one, two.scale_two)
 
-    def test_import_does_not_load_scipy_integrate_or_linalg(self):
+    def test_import_loads_no_scipy_integrate_linalg_or_thread_pool(self):
         # The package has no runtime quadrature; only the tests integrate.  Its
-        # LAPACK comes from scipy's extension file, without scipy.linalg.
+        # LAPACK comes from scipy's extension file, without scipy.linalg.  Its one
+        # worker thread is started by a Monte Carlo campaign, not by the import.
         src = str(Path(gausskl.__file__).resolve().parents[1])
-        code = ("import gausskl, gausskl.cli, sys; "
+        code = ("import gausskl, gausskl.cli, sys, threading; "
                 "assert 'scipy.integrate' not in sys.modules; "
-                "assert 'scipy.linalg' not in sys.modules")
+                "assert 'scipy.linalg' not in sys.modules; "
+                "assert 'concurrent.futures' not in sys.modules; "
+                "assert threading.active_count() == 1")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 

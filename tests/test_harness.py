@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -301,28 +303,29 @@ def _hex(rows):
     return [tuple(float(s).hex() for s in row) for row in rows]
 
 
+@pytest.fixture
+def chunk_rows(monkeypatch):
+    # Records the rows of slacks each campaign's chunk function returns.
+    rows, real = [], harness._campaign
+
+    def recording(*args):
+        *head, chunk = args
+
+        def recorded(seeds):
+            out = chunk(seeds)
+            rows.extend(np.asarray(out, dtype=float).tolist())
+            return out
+
+        return real(*head, recorded)
+
+    monkeypatch.setattr(harness, "_campaign", recording)
+    return rows
+
+
 class TestChunkedCampaigns:
     # The chunked p3/p2 campaigns against their trial-by-trial bodies
     # (tests/oracles.py): every trial's slacks, and the report folded from
     # them by the same rule, agree bit for bit, whatever the chunk size.
-    @pytest.fixture
-    def chunk_rows(self, monkeypatch):
-        # Records the rows of slacks each campaign's chunk function returns.
-        rows, real = [], harness._campaign
-
-        def recording(*args):
-            *head, chunk = args
-
-            def recorded(seeds):
-                out = chunk(seeds)
-                rows.extend(np.asarray(out, dtype=float).tolist())
-                return out
-
-            return real(*head, recorded)
-
-        monkeypatch.setattr(harness, "_campaign", recording)
-        return rows
-
     @pytest.mark.parametrize("dim", [1, 2, 5, 8])
     @pytest.mark.parametrize("cond", [1.0, 1e4])
     def test_p3_matches_per_trial_oracle(self, chunk_rows, dim, cond):
@@ -349,6 +352,146 @@ class TestChunkedCampaigns:
         whole = [_bits(c()) for c in campaigns]
         monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", budget)
         assert [_bits(c()) for c in campaigns] == whole
+
+
+MC_CAMPAIGNS = {"p1": (check_prop1, oracles.p1_trial), "c1": (check_c1, oracles.c1_trial)}
+
+
+def _estimate(py, px, n, seed):
+    # A stand-in estimate: no draws, and no floating-point exception under any errstate.
+    return McEstimate(value=1.0, std_error=0.5, n_samples=n, seed=seed)
+
+
+class TestMonteCarloScheduling:
+    # c1 runs each trial's two mc_kl calls at once, the first on the caller's thread and
+    # the second on one worker thread per campaign call; p1's lone call runs inline.
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        # The thread of every mc_kl call, by its seed; the estimates are the real ones.
+        seen, real = {}, harness.mc_kl
+
+        def recording(py, px, n, seed):
+            seen[seed] = threading.get_ident()
+            return real(py, px, n, seed)
+
+        monkeypatch.setattr(harness, "mc_kl", recording)
+        return seen
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 5])
+    @pytest.mark.parametrize("prop", sorted(MC_CAMPAIGNS))
+    def test_matches_sequential_reference(self, monkeypatch, chunk_rows, prop, trials, dim,
+                                          cpus):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        campaign, reference = MC_CAMPAIGNS[prop]
+        master = 100 * trials + dim
+        report = campaign(trials, dim, master, 20_000)  # paired at every dim on two CPUs
+        expected = [reference(dim, derive_seed(master, t), 20_000) for t in range(trials)]
+        assert _hex(chunk_rows) == _hex(expected)
+        violations, worst = oracles.fold_slacks(expected, 0.0)
+        assert (report.violations, report.worst_margin.hex()) == (violations, worst.hex())
+
+    def test_bits_hold_under_fast_thread_switching(self, two_cpus):
+        # A 1-µs switch interval hands the interpreter lock between the two
+        # threads at every chance; each call still owns its generator and inputs.
+        campaigns = (lambda: check_c1(4, 2, 8, 10_000), lambda: check_c1(3, 1, 9, 20_000))
+        normal = [_bits(c()) for c in campaigns]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fast = [_bits(c()) for c in campaigns]
+        finally:
+            sys.setswitchinterval(interval)
+        assert fast == normal
+
+    @pytest.mark.parametrize("campaign, trials, dim, n, used", [
+        (check_c1, 1, 2, 10_000, 2), (check_c1, 3, 2, 10_000, 2), (check_c1, 2, 1, 20_000, 2),
+        (check_c1, 2, 1, 10_000, 1), (check_prop1, 1, 2, 10_000, 1),
+        (check_prop1, 2, 2, 10_000, 1), (check_prop1, 3, 3, 20_000, 1)])
+    def test_thread_counts(self, two_cpus, threads, campaign, trials, dim, n, used):
+        # c1 pairs its calls from 20000 normals per call (n * dim) on; p1 has one call a trial.
+        before = threading.active_count()
+        campaign(trials, dim, 7, n)
+        assert len(threads) == {check_c1: 2, check_prop1: 1}[campaign] * trials
+        assert threading.get_ident() in threads.values()
+        assert len(set(threads.values())) == used
+        assert threading.active_count() == before
+
+    def test_one_cpu_runs_every_call_inline(self, monkeypatch, threads):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        before = threading.active_count()
+        for campaign in (check_c1, check_prop1):
+            campaign(3, 2, 7, 10_000)
+        assert set(threads.values()) == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    class Failed(Exception):
+        pass
+
+    @pytest.mark.parametrize("campaign, trials, fails, on_caller", [
+        (check_c1, 1, 0, True), (check_c1, 1, 1, False), (check_c1, 3, 4, True),
+        (check_c1, 3, 5, False), (check_prop1, 2, 0, True), (check_prop1, 2, 1, True)])
+    def test_failed_estimate_keeps_its_type(self, monkeypatch, two_cpus, campaign, trials,
+                                            fails, on_caller):
+        # Call `fails` in trial order raises, on the caller's thread or the worker's.
+        # Its own type reaches the caller, and no thread is left.
+        order = [derive_seed(derive_seed(5, t), s) for t in range(trials)
+                 for s in ((3, 5) if campaign is check_c1 else (3,))]
+        raised = []
+
+        def failing(py, px, n, seed):
+            if seed == order[fails]:
+                raised.append(threading.get_ident())
+                raise self.Failed(seed)
+            return _estimate(py, px, n, seed)
+
+        monkeypatch.setattr(harness, "mc_kl", failing)
+        before = threading.active_count()
+        with pytest.raises(self.Failed):
+            campaign(trials, 2, 5, 10_000)
+        assert (raised == [threading.get_ident()]) == on_caller
+        assert threading.active_count() == before
+
+    def test_failed_thread_start_runs_both_calls_inline(self, monkeypatch, two_cpus, threads):
+        # Without a thread to be had, a campaign runs as it would on one CPU.
+        paired = _bits(check_c1(3, 2, 5, 10_000))
+
+        class Unstartable(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        threads.clear()
+        monkeypatch.setattr(harness.threading, "Thread", Unstartable)
+        before = threading.active_count()
+        assert _bits(check_c1(3, 2, 5, 10_000)) == paired
+        assert len(threads) == 6
+        assert set(threads.values()) == {threading.get_ident()}
+        assert threading.active_count() == before
+
+    def test_both_threads_see_the_callers_errstate(self, monkeypatch, two_cpus):
+        # A new thread starts with numpy's default error state on every numpy version.
+        seen = {}
+
+        def recording(py, px, n, seed):
+            seen[threading.get_ident()] = (np.geterr(), np.geterrcall())
+            return _estimate(py, px, n, seed)
+
+        def callback(kind, flag):
+            pass
+
+        monkeypatch.setattr(harness, "mc_kl", recording)
+        with np.errstate(divide="ignore", over="call", under="warn", invalid="ignore",
+                         call=callback):
+            expected = (np.geterr(), np.geterrcall())
+            check_c1(2, 2, 3, 10_000)
+        assert len(seen) == 2
+        assert all(state == expected for state in seen.values())
+        assert expected != (np.geterr(), np.geterrcall())
 
 
 class TestCallsPerChunk:

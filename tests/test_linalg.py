@@ -18,6 +18,7 @@ from gausskl import (
     derive_seed,
     kl_gaussian,
     mc_kl,
+    random_diag_spectrum,
     random_spd,
     read_matrix_csv,
     validate_spd,
@@ -161,9 +162,12 @@ class TestFactoredOnce:
         py = build_matched_mixture(random_spd(3, 4, 10.0), 0.4, 0.5)
         px = GaussianModel(random_spd(3, 5, 10.0))
         solves = []
-        solve = estimators.solve_triangular
-        monkeypatch.setattr(estimators, "solve_triangular",
-                            lambda *a, **k: solves.append(a[1].shape) or solve(*a, **k))
+
+        def recording(name, solve):
+            return lambda a, b: solves.append((name, b.shape)) or solve(a, b)
+
+        for name in ("solve_triangular", "_solve_factor"):
+            monkeypatch.setattr(estimators, name, recording(name, getattr(estimators, name)))
 
         def never(*args, **kwargs):
             raise AssertionError("mc_kl materialized its draws")
@@ -172,7 +176,7 @@ class TestFactoredOnce:
             monkeypatch.setattr(cls, "sample", never)
             monkeypatch.setattr(cls, "log_density_batch", never)
         mc_kl(py, px, 20_000, seed=3)
-        assert solves == [(3, 3)]
+        assert solves == [("_solve_factor", (3, 3))]
 
 
 class TestLapack:
@@ -200,6 +204,19 @@ class TestLapack:
             expected, expected_info = scipy.linalg.lapack.dtrtrs(factor, b, **flags)
             assert info == expected_info == 0
             assert np.array_equal(x, expected)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 65])
+    def test_factor_solve_matches_solve_triangular_bit_for_bit(self, m):
+        # mc_kl's whitening solve: BLAS dtrsm, or a division at m = 1, with dtrtrs's bits,
+        # for full and diagonal factors at scales far from 1.
+        for seed in range(10):
+            for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+                a = validate_spd(scale * random_spd(m, seed, 100.0).entries).lower
+                for b in (random_spd(m, seed + 50, 10.0).lower,
+                          random_diag_spectrum(m, seed).as_matrix().lower):
+                    for x, y in ((a, b), (b, a)):
+                        expected = linalg.solve_triangular(x, y)
+                        assert np.array_equal(linalg._solve_factor(x, y), expected)
 
     def test_zero_pivot_raises(self):
         a = np.tril(np.ones((3, 3)))

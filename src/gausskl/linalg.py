@@ -4,15 +4,18 @@ Covariance matrices from outside the package (files, user arrays) enter as
 raw arrays and get certified by :func:`validate_spd`, which keeps the Cholesky
 factor it computes (a diagonal matrix's factor is its square roots, taken
 without factoring): every consumer reads that one factor.  The package's own
-draws are exactly symmetric and finite, so they are only factored.  Explicit
-matrix inversion is never used; every application of an inverse goes through
-triangular solves against the factor, LAPACK's ``dtrtrs`` (directly or
-through :func:`solve_triangular`, or BLAS ``dtrsm`` with its bits), the
-numerically robust route for ill-conditioned input.  Both come from scipy's
-LAPACK and BLAS extensions, each loaded on its own: importing ``scipy.linalg``
-would cost more start-up time than the rest of the package.  The kernels
-take (T, m, m) stacks, so a campaign factors a chunk of trials per LAPACK
-call; the public functions are stacks of one.
+draws are exactly symmetric and finite, so they are only factored.  An inverse
+is applied through triangular routines on the factor: LAPACK's ``dtrtrs``
+solve (through :func:`solve_triangular`), BLAS ``dtrsm``, which gives
+``dtrtrs``'s bits and runs a small solve on the calling thread where OpenBLAS
+runs ``dtrtrs`` on its thread pool, and LAPACK ``dtrtri``, which inverts the
+64 x 64 unit-diagonal blocks of ``divergence._kl`` past its first (a normwise
+error bound, where a solve has a componentwise one: Du Croz & Higham, IMA J.
+Numer. Anal. 1992).  No full matrix is inverted.  The routines come from
+scipy's LAPACK and BLAS extensions, each loaded once on its own: importing
+``scipy.linalg`` would cost more start-up time than the rest of the package.
+The kernels take (T, m, m) stacks, so a campaign factors a chunk of trials
+per LAPACK call; the public functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ def _load_extension(name: str):
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-dtrtrs = _load_extension("_flapack").dtrtrs
+_flapack = _load_extension("_flapack")
+dtrtrs, _dtrtri = _flapack.dtrtrs, _flapack.dtrtri
 _dtrsm = _load_extension("_fblas").dtrsm
 
 

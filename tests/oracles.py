@@ -14,6 +14,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from gausskl import (DiagSpectrum, GaussianModel, build_matched_mixture, derive_seed,
                      diagonal_lower_bound, kl_diagonal, kl_gaussian, mc_kl, random_diag_spectrum,
@@ -76,12 +77,28 @@ def kl_determinant_route(sx, sy) -> float:
 
 
 def kl_mpmath(sx, sy, dps: int = 60) -> float:
-    """0.5 * [tr(Sx^-1 Sy) - m - ln det Sy + ln det Sx] of the given floats, at dps digits."""
+    """0.5 * [tr(Sx^-1 Sy) - m - ln det Sy + ln det Sx] of the given floats, at dps digits.
+
+    Taken from the dps-digit Cholesky factors Lx, Ly of the given entries, each
+    matrix averaged with its transpose first (the trace is unchanged; the
+    determinants move by the asymmetry squared): tr(Sx^-1 Sy) = ||Lx^-1 Ly||_F^2,
+    the solve by forward substitution, and ln det S = 2 sum ln diag(L).  About
+    m^3 / 2 operations, a tenth of an inverse's, so m = 65 takes under a second.
+    """
     with mpmath.workdps(dps):
-        x, y = mpmath.matrix(np.asarray(sx).tolist()), mpmath.matrix(np.asarray(sy).tolist())
-        ratio = mpmath.inverse(x) * y
-        trace = sum(ratio[i, i] for i in range(ratio.rows))
-        return float((trace - ratio.rows - mpmath.log(mpmath.det(y)) + mpmath.log(mpmath.det(x))) / 2)
+        mats = [mpmath.matrix(np.asarray(s).tolist()) for s in (sx, sy)]
+        # tol=0: no absolute floor on the pivots, so any scale factors
+        lx, ly = (mpmath.cholesky((a + a.T) / 2, tol=0) for a in mats)
+        m = lx.rows
+        lx_rows = [[lx[i, j] for j in range(i + 1)] for i in range(m)]
+        x = [[mpmath.mpf(0)] * m for _ in range(m)]  # Lx^-1 Ly, lower triangular
+        for i in range(m):
+            for c in range(i + 1):
+                above = mpmath.fdot(lx_rows[i][c:i], [x[r][c] for r in range(c, i)])
+                x[i][c] = (ly[i, c] - above) / lx_rows[i][i]
+        trace = mpmath.fsum(v * v for row in x for v in row)
+        log_ratio = mpmath.fsum(mpmath.log(ly[i, i]) - mpmath.log(lx[i, i]) for i in range(m))
+        return float((trace - m) / 2 - log_ratio)
 
 
 def weakly_correlated(m: int, rho: float, seed: int) -> np.ndarray:
@@ -129,15 +146,17 @@ def diagonal_sum_reference(vx, vy) -> float:
 
 
 def kl_factors_reference(lx, ly) -> float:
-    """KL(y || x) from Cholesky factors by the single-matrix row-block formula.
+    """KL(y || x) from Cholesky factors by the row-block formula, every block solved.
 
     N = a^-1 b for the column-normalized factors a = Lx / dx and b = Ly / dy,
     64 rows at a time: rows i:i+64 of b less numpy matmuls of a's rows with
     N's nonzero 64-column tiles above (N is zero above its diagonal), then
     scipy ``solve_triangular`` against a[i:i+64, i:i+64].  M = Lx^-1 Ly is N
-    scaled by dy / dx (see ``relative_factor_kl``).  A stacked kernel must
-    reproduce it bit for bit.  BLAS's bits depend on its operands' layouts at
-    partial tiles, so each product is taken as the kernel takes it, as
+    scaled by dy / dx (see ``relative_factor_kl``).  The kernel reproduces it
+    bit for bit at m <= 64, where it is one solve; beyond, the kernel applies
+    inverses (``kl_factors_inverse_reference``) and this is the all-solve
+    reference for its accuracy.  BLAS's bits depend on its operands' layouts
+    at partial tiles, so each product is taken as the kernel takes it, as
     (C-ordered N tile transposed) @ a-rows transposed.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
@@ -148,6 +167,32 @@ def kl_factors_reference(lx, ly) -> float:
             n[i:k, r:r + 64] -= (np.ascontiguousarray(n[r:i, r:r + 64].T) @ a[i:k, r:i].T).T
         n[i:k, :k] = solve_triangular(a[i:k, i:k], n[i:k, :k], lower=True,
                                       unit_diagonal=True, check_finite=False)
+    return relative_factor_kl(n, dx, dy)
+
+
+def kl_factors_inverse_reference(lx, ly) -> float:
+    """KL(y || x) as ``kl_factors_reference``, each diagonal block after the first inverted.
+
+    Row block i:k, i >= 64: W is the rows i:k of b less the tiles above, with
+    a[i:k, i:k] subtracted from its diagonal block so that the product gives
+    N - I there (exactly 0 where a == b).  N[i:k, :k] = a[i:k, i:k]^-1 W by
+    LAPACK ``dtrtri``'s inverse of a[i:k, i:k].T, applied as (C-ordered W.T) @
+    that inverse, then N's unit diagonal is written back.  A stacked kernel
+    must reproduce it bit for bit.
+    """
+    dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
+    a, n = lx / dx, ly / dy
+    n[:64, :64] = solve_triangular(a[:64, :64], n[:64, :64], lower=True,
+                                   unit_diagonal=True, check_finite=False)
+    for i in range(64, len(a), 64):
+        k = i + 64
+        for r in range(0, i, 64):
+            n[i:k, r:r + 64] -= (np.ascontiguousarray(n[r:i, r:r + 64].T) @ a[i:k, r:i].T).T
+        n[i:k, i:k] -= a[i:k, i:k]
+        inv_t, info = dtrtri(a[i:k, i:k].T, lower=0, unitdiag=1)
+        assert info == 0
+        n[i:k, :k] = (np.ascontiguousarray(n[i:k, :k].T) @ inv_t).T
+        np.fill_diagonal(n[i:k, i:k], 1.0)
     return relative_factor_kl(n, dx, dy)
 
 

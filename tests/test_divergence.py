@@ -26,9 +26,9 @@ from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
 from gausskl.linalg import _factor, _random_symmetric
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_determinant_route, kl_factors_column_reference, kl_factors_reference,
-                     kl_mpmath, kl_scalar_quad, log_uniform_spectrum, total_correlation,
-                     weakly_correlated)
+                     kl_determinant_route, kl_factors_column_reference,
+                     kl_factors_inverse_reference, kl_factors_reference, kl_mpmath,
+                     kl_scalar_quad, log_uniform_spectrum, total_correlation, weakly_correlated)
 
 
 def spectrum(*variances):
@@ -398,8 +398,8 @@ class TestStackedKernels:
     # reference formula (tests/oracles.py), which sums M's squares in
     # column-major order and the diagonal terms left to right.
     @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)]
-                             + [(64, 3), (65, 2), (128, 2), (129, 2), (130, 2), (200, 2),
-                                (512, 2)])
+                             + [(64, 3), (65, 2), (65, 3), (128, 2), (129, 2), (130, 2),
+                                (130, 3), (200, 2), (512, 2)])
     def test_stack_equals_single_matrix_calls(self, m, t):
         sx = [random_spd(m, derive_seed(m, i), 1e4) for i in range(t)]
         sy = [random_spd(m, derive_seed(m, t + i), 1e4) for i in range(t)]
@@ -409,7 +409,7 @@ class TestStackedKernels:
                                      np.stack([b.lower for b in sy]))
             assert [v.hex() for v in stacked.tolist()] == [
                 kl_gaussian(a, b).hex() for a, b in zip(ref, sy)] == [
-                kl_factors_reference(a.lower, b.lower).hex() for a, b in zip(ref, sy)]
+                kl_factors_inverse_reference(a.lower, b.lower).hex() for a, b in zip(ref, sy)]
         sums = divergence._diagonal_sum(np.stack([d.variances for d in lx]),
                                         np.stack([np.diag(b.entries) for b in sy]))
         assert [v.hex() for v in sums.tolist()] == [
@@ -474,6 +474,52 @@ class TestStackedKernels:
                 assert values.tolist() == [kl_gaussian(validate_spd(np.diag(vx)),
                                                        validate_spd(np.diag(vy)))
                                            for vx, vy in dims]
+
+
+class TestInvertedDiagonalBlocks:
+    # Past m = 64, _kl applies each later 64 x 64 diagonal block's inverse as a
+    # product (oracles.kl_factors_inverse_reference).  An inverse has a normwise,
+    # not a componentwise, error bound (Du Croz & Higham, IMA J. Numer. Anal. 1992),
+    # so the result is held to the all-solve formula and to mpmath.
+
+    @pytest.mark.parametrize("m", [65, 128, 129, 256, 512])
+    def test_within_bound_of_the_all_solve_formula(self, m):
+        # Measured at most 2.3 eps relative over m = 65..512, cond 1e2..1e10, 4 pairs each.
+        for cond in (1e2, 1e6, 1e10):
+            for p in range(2):
+                sx = random_spd(m, derive_seed(m, 700 + p), cond)
+                sy = random_spd(m, derive_seed(m, 800 + p), cond)
+                kl, solved = kl_gaussian(sx, sy), kl_factors_reference(sx.lower, sy.lower)
+                assert abs(kl - solved) <= 16 * np.finfo(float).eps * solved, (cond, p)
+
+    @pytest.mark.parametrize("m,cond", [(65, 1e2), (65, 1e6), (65, 1e10), (96, 1e6), (96, 1e10)])
+    def test_mpmath_error_as_the_all_solve_formula(self, m, cond):
+        # Relative errors 0, 9.1e-13 and 1.7e-8 at m = 65 (the same bits as the
+        # all-solve formula), 1.2e-12 and 6.4e-9 at m = 96 (2 and 0 ulp off it).
+        sx, sy = (random_spd(m, derive_seed(m, 500 + i), cond) for i in (0, 1))
+        true = kl_mpmath(sx.entries, sy.entries, 40)
+        kl, solved = kl_gaussian(sx, sy), kl_factors_reference(sx.lower, sy.lower)
+        assert abs(kl - true) <= abs(solved - true) + 4 * np.spacing(true)
+
+    @pytest.mark.parametrize("m", [65, 130])
+    def test_factor_columns_scaled_by_2_to_the_500(self, m):
+        # Columns scaled by 2**500 and 2**-500 in turn: the column-normalized
+        # factors keep their bits and the pivot ratios overflow, so the result is
+        # +inf where the all-solve formula's is, else finite; never NaN, no warning.
+        lx = random_spd(m, derive_seed(m, 50), 1e4).lower
+        ly = random_spd(m, derive_seed(m, 51), 1e4).lower
+        d = 2.0 ** np.where(np.arange(m) % 2 == 0, 500, -500)
+        pairs = [(lx * d, ly * d), (lx * d, ly / d), (lx * d, ly), (lx, ly * d), (lx, ly)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = divergence._kl(np.stack([a for a, _ in pairs]),
+                                    np.stack([b for _, b in pairs]))
+        with np.errstate(over="ignore"):
+            solved = [kl_factors_reference(a, b) for a, b in pairs]
+        assert not np.any(np.isnan(values))
+        assert [math.isinf(v) for v in values] == [math.isinf(v) for v in solved] == [
+            True, True, False, False, False]
+        assert np.all(np.abs(values[2:] - solved[2:]) <= 16 * np.finfo(float).eps * values[2:])
 
 
 class TestGaussianEntropy:

@@ -145,17 +145,24 @@ class TestFactoredOnce:
         assert sum(calls) == trials * (2 * len(dims) + 1)
 
     def test_one_triangular_solve_per_divergence(self, monkeypatch):
-        # One solve per 64-row block of M, ceil(m / 64), and no factorization.
-        pairs = [(m, random_spd(m, 8, 100.0), random_spd(m, 9, 100.0)) for m in (4, 130)]
-        solves, chols = [], []
-        solve, chol = divergence.dtrtrs, np.linalg.cholesky
-        monkeypatch.setattr(divergence, "dtrtrs",
-                            lambda *a, **k: solves.append(1) or solve(*a, **k))
+        # One solve, for M's first 64-row block, one 64 x 64 inversion per later
+        # block, ceil(m / 64) - 1, and no factorization.
+        pairs = [(m, random_spd(m, 8, 100.0), random_spd(m, 9, 100.0)) for m in (4, 64, 65, 130)]
+        calls = {"_dtrsm": [], "_dtrtri": []}
+
+        def recording(log, routine):
+            return lambda *a, **k: log.append(1) or routine(*a, **k)
+
+        for name, log in calls.items():
+            monkeypatch.setattr(divergence, name, recording(log, getattr(divergence, name)))
+        chols, chol = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
         for m, sx, sy in pairs:
-            solves.clear()
+            for log in calls.values():
+                log.clear()
             kl_gaussian(sx, sy)
-            assert (len(solves), len(chols)) == (-(-m // 64), 0)
+            counts = len(calls["_dtrsm"]), len(calls["_dtrtri"]), len(chols)
+            assert counts == (1, -(-m // 64) - 1, 0)
 
     def test_monte_carlo_estimate_solves_once_and_forms_no_points(self, monkeypatch):
         # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.

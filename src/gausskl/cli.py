@@ -15,6 +15,7 @@ Matrix files are headerless CSV.  Reports are a single JSON object on stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ from .harness import (
 from .linalg import _check_condition, random_spd, read_matrix_csv, validate_spd, write_matrix_csv
 
 
+@functools.cache  # built once per process: argparse measures the terminal at every argument
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausskl",

@@ -78,28 +78,41 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     # dtrtri on a.T, in place, 64^3/3 flops) and applies the inverse as one matmul
     # (2 * 64^2 flops per row of w, at GEMM speed), to N - I on the diagonal block so that
     # a == b gives exactly 0 there, as a solve does.
+    # The BLAS and LAPACK calls take positional arguments (dtrsm: side=0, lower=0, trans_a=1,
+    # diag=1, overwrite_b=1; dtrtri: lower=0, unitdiag=1, overwrite_c=1) on the F-ordered
+    # slices of stacks transposed once: 50 keyword calls on each slice's .T took 73 us at
+    # m = 4, these 32 us.
     nt = np.zeros(ly.shape)
     with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
-        for i in range(0, m, b):
-            k = min(i + b, m)
-            a = lx[:, i:k, :k] / dx[:, None, :k]
-            w = nt if k - i == m else np.empty((t, k, k - i))  # C-ordered, so dtrsm writes w.T
-            np.divide(ly[:, i:k, :k].swapaxes(1, 2), dy[:, :k, None], out=w)
-            for r in range(0, i, b):  # nt is upper: tile r is zero left of column r
-                w[:, r:r + b] -= nt[:, r:r + b, r:i] @ a[:, :, r:i].swapaxes(1, 2)
-            if i == 0:
-                for a_s, w_s in zip(a, w):
-                    _dtrsm(1.0, a_s.T, w_s.T, side=0, lower=0, trans_a=1, diag=1, overwrite_b=1)
-            else:
-                w[:, i:] -= a[:, :, i:].swapaxes(1, 2)  # N - I on the diagonal block: 0 if a == b
-                inv = a[:, :, i:].copy()  # C-ordered, so dtrtri inverts each slice's .T in place
-                for inv_s in inv:
-                    _, info = _dtrtri(inv_s.T, lower=0, unitdiag=1, overwrite_c=1)
-                    if info != 0:  # < 0: an illegal argument; a unit diagonal has no zero pivot
-                        raise np.linalg.LinAlgError(f"triangular inverse: dtrtri info {info}")
-                w = w @ inv.swapaxes(1, 2)
-                np.einsum("tii->ti", w[:, i:])[...] = 1.0  # N = I + (N - I)
-            nt[:, :k, i:k] = w
+        # Every lx slice diagonal (its pivots are > 0)?  A nonzero subdiagonal, an O(m) read,
+        # spares a dense stack the full count (0.26 ms at m = 512, 5-9% of the kernel).
+        if np.count_nonzero(np.diagonal(lx, -1, 1, 2)) == 0 and np.count_nonzero(lx) == t * m:
+            # Then a is the identity and N = b.  A solve against it subtracts only 0 * N terms
+            # from b, so this is its bits wherever b is finite; where b overflows, the solve's
+            # 0 * inf gives NaN and this +inf.
+            np.divide(ly.swapaxes(1, 2), dy[:, :, None], out=nt)
+        else:
+            for i in range(0, m, b):
+                k = min(i + b, m)
+                a = lx[:, i:k, :k] / dx[:, None, :k]
+                w = nt if k - i == m else np.empty((t, k, k - i))  # C-ordered: dtrsm writes w.T
+                np.divide(ly[:, i:k, :k].swapaxes(1, 2), dy[:, :k, None], out=w)
+                for r in range(0, i, b):  # nt is upper: tile r is zero left of column r
+                    w[:, r:r + b] -= nt[:, r:r + b, r:i] @ a[:, :, r:i].swapaxes(1, 2)
+                if i == 0:
+                    for a_s, w_s in zip(a.swapaxes(1, 2), w.swapaxes(1, 2)):
+                        _dtrsm(1.0, a_s, w_s, 0, 0, 1, 1, 1)
+                else:
+                    w[:, i:] -= a[:, :, i:].swapaxes(1, 2)  # N - I on the diagonal block
+                    inv = a[:, :, i:].copy()  # C-ordered, so dtrtri inverts each .T in place
+                    for inv_s in inv.swapaxes(1, 2):
+                        _, info = _dtrtri(inv_s, 0, 1, 1)
+                        if info != 0:  # < 0: an illegal argument; a unit diagonal has no 0 pivot
+                            raise np.linalg.LinAlgError(f"triangular inverse: dtrtri info {info}")
+                    w = w @ inv.swapaxes(1, 2)
+                    np.einsum("tii->ti", w[:, i:])[...] = 1.0  # N = I + (N - I)
+                if w is not nt:
+                    nt[:, :k, i:k] = w
         nt *= dy[:, :, None]  # finite scalings keep a zero entry zero (no 0 * inf)
         nt /= dx[:, None, :]
         u = (dy - dx) / dx * (dy / dx + 1.0)
@@ -146,8 +159,9 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     unit-diagonal triangular solve in the first block (one solve for m <= 64)
     and, in each later block, by that block's inverse (LAPACK dtrtri) applied as
     a GEMM of 2 * 64^2 flops per row.  At m = 512 that is 44 MFLOP of tiles,
-    18 MFLOP of inverse products and 0.6 MFLOP of inversion.  An overflowing
-    pivot ratio dy_i / dx_i gives +inf, never NaN.
+    18 MFLOP of inverse products and 0.6 MFLOP of inversion.  A diagonal sx
+    makes a the identity, so N = b with no solve (the solve's bits wherever b
+    is finite).  An overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")

@@ -227,8 +227,11 @@ def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     _check_dim(dim)  # the first draw of every random matrix and spectrum: refuse before drawing
-    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), here applied to the whole stack.
-    return np.exp(log_lo + (log_hi - log_lo) * np.array([rng.random(dim) for rng in rngs]))
+    # numpy's uniform(lo, hi) is lo + (hi - lo) * random(), here on a stack of rows drawn in place.
+    u = np.empty((len(rngs), dim))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    return np.exp(log_lo + (log_hi - log_lo) * u)
 
 
 def _random_symmetric(dim: int, rngs: list[np.random.Generator],
@@ -239,7 +242,10 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
 
     half_log = 0.5 * math.log(condition_target)
     eigs = _log_uniform(dim, rngs, -half_log, half_log)
-    q, r = np.linalg.qr(np.array([rng.standard_normal((dim, dim)) for rng in rngs]))
+    g = np.empty((len(rngs), dim, dim))
+    for rng, slab in zip(rngs, g):  # each generator's draw written in place
+        rng.standard_normal(out=slab)
+    q, r = np.linalg.qr(g)
     # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
     q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
     a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)

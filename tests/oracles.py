@@ -104,8 +104,13 @@ def kl_mpmath(sx, sy, dps: int = 60) -> float:
 def weakly_correlated(m: int, rho: float, seed: int) -> np.ndarray:
     """A subject covariance with variances over e^+-3 and correlations rho * U(-1, 1).
 
-    Exactly symmetric; its correlations round out of the pivots of its
-    Cholesky factor once rho is below about 1e-8.
+    Symmetric only to 1 ulp: ``rho * (r + r.T) * s[:, None] * s[None, :]``
+    scales entry ``[i, j]`` by ``s[i]`` then ``s[j]`` and ``[j, i]`` in the other
+    order, so the two may differ in the last bit (``weakly_correlated(2, 1e-9, 1)``
+    has 3.5912118424804553e-09 above the diagonal, 3.591211842480455e-09 below).
+    ``kl_mpmath`` averages each matrix with its transpose before factoring it;
+    ``validate_spd`` averages such asymmetry away too.  Its correlations round
+    out of the pivots of its Cholesky factor once rho is below about 1e-8.
     """
     rng = np.random.default_rng(seed)
     v = np.exp(rng.uniform(-3.0, 3.0, m))

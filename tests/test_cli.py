@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gausskl
+from gausskl import cli
 from gausskl.cli import main
 from gausskl import (derive_seed, divergence, harness, kl_gaussian, random_diag_spectrum,
                      random_spd, read_matrix_csv, validate_spd, write_matrix_csv)
@@ -526,3 +527,35 @@ def test_numbers_round_trip_through_json(tmp_path, capsys):
     assert json.loads(json.dumps(decoded)) == decoded
     for v in decoded["results"].values():
         assert np.isfinite(v)
+
+
+class TestParserBuiltOnce:
+    # main() builds its argparse parser once per process and reuses it.
+    def test_calls_after_a_failing_verify_are_unchanged(self, tmp_path, capsys):
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_csv(x, [[2.0, 0.3], [0.3, 1.0]])
+        write_csv(y, [[1.0, -0.2], [-0.2, 3.0]])
+        kl = ("kl", "--x", str(x), "--y", str(y), "--format", "text")
+        first = run(capsys, *kl)
+        assert first[0] == 0
+        failed = run(capsys, "verify", "--prop", "p3", "--trials", "0")
+        assert failed[0] == 2 and "ValueError" in failed[2]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--prop", "p9"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, *kl) == first
+        assert run(capsys, "verify", "--prop", "p3", "--trials", "0") == failed
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["kl", "--help"], ["verify", "--help"],
+                                      ["gen", "--help"]])
+    def test_help_text_is_a_fresh_parsers(self, capsys, argv):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 0
+            out = capsys.readouterr().out
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(argv)
+            assert capsys.readouterr().out == out

@@ -522,6 +522,68 @@ class TestInvertedDiagonalBlocks:
         assert np.all(np.abs(values[2:] - solved[2:]) <= 16 * np.finfo(float).eps * values[2:])
 
 
+class TestDiagonalReference:
+    # When every lx slice is diagonal, _kl takes N = b and makes no solve: a solve
+    # against the identity subtracts only 0 * N terms, so the bits are the solve's.
+
+    @staticmethod
+    def diagonal(m, seed):
+        return random_diag_spectrum(m, derive_seed(m, seed)).as_matrix().lower
+
+    @staticmethod
+    def reference(lx, ly):
+        return (kl_factors_reference if len(lx) <= 64 else kl_factors_inverse_reference)(lx, ly)
+
+    @staticmethod
+    def recording(monkeypatch):
+        calls = {"_dtrsm": [], "_dtrtri": []}
+        for name, log in calls.items():
+            routine = getattr(divergence, name)
+            monkeypatch.setattr(divergence, name,
+                                lambda *a, log=log, routine=routine: log.append(1) or routine(*a))
+        return calls
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 64, 65, 130])
+    def test_matches_the_solve_references_bit_for_bit(self, monkeypatch, m):
+        # Dense subjects at cond 1e2 and 1e10, the reference itself (+0.0) and a diagonal subject.
+        calls = self.recording(monkeypatch)
+        lx = [self.diagonal(m, 300 + i) for i in range(4)]
+        ly = [random_spd(m, derive_seed(m, 310), 1e2).lower,
+              random_spd(m, derive_seed(m, 311), 1e10).lower, lx[2], self.diagonal(m, 312)]
+        values = divergence._kl(np.stack(lx), np.stack(ly))
+        assert [v.hex() for v in values.tolist()] == [
+            self.reference(a, b).hex() for a, b in zip(lx, ly)]
+        assert values[2] == 0.0 and math.copysign(1.0, values[2]) == 1.0
+        assert calls == {"_dtrsm": [], "_dtrtri": []}
+
+    @pytest.mark.parametrize("m", [4, 64, 130])
+    @pytest.mark.parametrize("dense", [0, 1, 2])
+    def test_one_off_diagonal_nonzero_solves_every_slice(self, monkeypatch, m, dense):
+        # A single off-diagonal nonzero in one slice of three: one solve per slice, one
+        # inversion per slice and later block, and every slice keeps its reference's bits.
+        calls = self.recording(monkeypatch)
+        lx = [self.diagonal(m, 320 + i) for i in range(3)]
+        lx[dense] = lx[dense].copy()
+        lx[dense][-1, 0] = lx[dense][-1, -1]
+        ly = [random_spd(m, derive_seed(m, 330 + i), 1e4).lower for i in range(3)]
+        values = divergence._kl(np.stack(lx), np.stack(ly))
+        assert [v.hex() for v in values.tolist()] == [
+            self.reference(a, b).hex() for a, b in zip(lx, ly)]
+        assert (len(calls["_dtrsm"]), len(calls["_dtrtri"])) == (3, 3 * (-(-m // 64) - 1))
+
+    def test_overflowing_column_ratio_is_never_nan(self):
+        # A subnormal first pivot under a row of variance 2**1000: b = Ly / dy overflows in
+        # column 0 while M = Lx^-1 Ly stays finite (the divergence is about 5.36e300).  A
+        # solve gave NaN from 0 * inf; N = b keeps +inf.
+        c = 0.5 * 2.0 ** -30
+        sy = validate_spd(np.array([[2.0 ** -1060, c, 0.0], [c, 2.0 ** 1000, 0.0],
+                                    [0.0, 0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kl_gaussian(validate_spd(np.eye(3)), sy)
+        assert not math.isnan(value) and value >= 5.35e300
+
+
 class TestGaussianEntropy:
     def test_standard_normal_against_quadrature(self):
         h = gaussian_entropy(validate_spd([[1.0]]))

@@ -146,8 +146,10 @@ class TestFactoredOnce:
 
     def test_one_triangular_solve_per_divergence(self, monkeypatch):
         # One solve, for M's first 64-row block, one 64 x 64 inversion per later
-        # block, ceil(m / 64) - 1, and no factorization.
-        pairs = [(m, random_spd(m, 8, 100.0), random_spd(m, 9, 100.0)) for m in (4, 64, 65, 130)]
+        # block, ceil(m / 64) - 1, and no factorization; against a diagonal
+        # reference, no solve and no inversion either.
+        pairs = [(m, sx, random_spd(m, 9, 100.0)) for m in (4, 64, 65, 130)
+                 for sx in (random_spd(m, 8, 100.0), random_diag_spectrum(m, 8).as_matrix())]
         calls = {"_dtrsm": [], "_dtrtri": []}
 
         def recording(log, routine):
@@ -162,7 +164,8 @@ class TestFactoredOnce:
                 log.clear()
             kl_gaussian(sx, sy)
             counts = len(calls["_dtrsm"]), len(calls["_dtrtri"]), len(chols)
-            assert counts == (1, -(-m // 64) - 1, 0)
+            diagonal = np.count_nonzero(sx.lower) == m
+            assert counts == ((0, 0, 0) if diagonal else (1, -(-m // 64) - 1, 0))
 
     def test_monte_carlo_estimate_solves_once_and_forms_no_points(self, monkeypatch):
         # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.
@@ -224,6 +227,14 @@ class TestLapack:
                     for x, y in ((a, b), (b, a)):
                         expected = linalg.solve_triangular(x, y)
                         assert np.array_equal(linalg._solve_factor(x, y), expected)
+
+    def test_positional_signatures_the_kernel_relies_on(self):
+        # divergence._kl passes dtrsm's and dtrtri's flags by position; scipy's f2py
+        # docstrings name the order (any scipy >= 1.10 is allowed).
+        signatures = [f.__doc__.splitlines()[0].split(" = ")[1] for f in (linalg._dtrsm,
+                                                                          linalg._dtrtri)]
+        assert signatures == ["dtrsm(alpha,a,b,[side,lower,trans_a,diag,overwrite_b])",
+                              "dtrtri(c,[lower,unitdiag,overwrite_c])"]
 
     def test_zero_pivot_raises(self):
         a = np.tril(np.ones((3, 3)))
@@ -328,6 +339,41 @@ class TestRandomSpd:
         np.testing.assert_array_equal(a.entries, random_spd(3, 2 ** 64 + 5, 10.0).entries)
         with pytest.raises(ValueError):
             random_spd(3, -1, 10.0)
+
+
+class TestInPlaceDraws:
+    # Each generator fills its own row or slab, in generator order, with the draws
+    # default_rng(seed) gives for random(dim) and then standard_normal((dim, dim)).
+    @staticmethod
+    def streams(n):
+        seeds = [derive_seed(17, i) for i in range(n)]
+        return seeds, [np.random.default_rng(s) for s in seeds]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_log_uniform_rows_are_each_generators_uniforms(self, n, dim):
+        seeds, rngs = self.streams(n)
+        rows = linalg._log_uniform(dim, rngs, -2.0, 3.0)
+        assert rows.shape == (n, dim)
+        for s, row, rng in zip(seeds, rows, rngs):
+            ref = np.random.default_rng(s)
+            assert row.tobytes() == np.exp(-2.0 + 5.0 * ref.random(dim)).tobytes()
+            assert rng.random() == ref.random()  # each stream is left where the reference is
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 4])
+    def test_random_symmetric_slabs_are_each_generators_normals(self, monkeypatch, n, dim):
+        drawn, qr = [], np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda g: drawn.append(g.copy()) or qr(g))
+        seeds, rngs = self.streams(n)
+        linalg._random_symmetric(dim, rngs, 100.0)
+        (slabs,) = drawn
+        assert slabs.shape == (n, dim, dim)
+        for s, slab, rng in zip(seeds, slabs, rngs):
+            ref = np.random.default_rng(s)
+            ref.random(dim)  # the eigenvalues come first
+            assert slab.tobytes() == ref.standard_normal((dim, dim)).tobytes()
+            assert rng.random() == ref.random()
 
 
 class TestDiagSpectrum:

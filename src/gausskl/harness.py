@@ -19,13 +19,15 @@ reports are bit-identical whatever the chunking.
 
 ``p1`` and ``c1`` hand :func:`_mc_campaign` each trial's independent ``mc_kl``
 calls (one for ``p1``, two for ``c1``).  It runs a trial's two calls at once:
-the first on the caller's thread, the second on one worker thread that lives
-for the campaign call, under the caller's ``np.errstate``.  numpy releases the GIL while it draws normals and in its
-ufunc loops, so the pair overlaps on two cores.  A lone call runs inline, and
-so does every call of a campaign with fewer than ``_PAIRED_NORMALS`` normals
-per call (``n_samples * dim``) or in a process whose CPU affinity allows one
-CPU only: there the handoffs would cost more than the overlap saves.  Each
-call owns its generator, so the bits do not depend on the pairing.
+the first on the caller's thread, the second on one pool thread per campaign
+call, started at its first pair and joined when the call returns or raises,
+under the caller's ``np.errstate``.  numpy releases the GIL while it draws
+normals and in its ufunc loops, so the pair overlaps on two cores.  A lone
+call runs inline, and so does every call of a campaign with fewer than
+``_PAIRED_NORMALS`` normals per call (``n_samples * dim``) or in a process
+whose CPU affinity allows one CPU only: there the handoffs would cost more
+than the overlap saves.  Each call owns its generator, so the bits do not
+depend on the pairing.
 """
 
 from __future__ import annotations
@@ -34,9 +36,7 @@ import json
 import math
 import operator
 import os
-import threading
 from dataclasses import asdict, dataclass
-from queue import SimpleQueue
 from typing import Callable, Sequence
 
 import numpy as np
@@ -205,55 +205,15 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-class _Worker:
-    # A Monte Carlo campaign's second thread, started at its first pair of mc_kl calls.  It
-    # runs under the caller's numpy error state, set again on the thread: numpy keeps that
-    # state per thread before 2.0 and in a context variable, which a new thread starts
-    # without, from 2.0 on.
-    def __init__(self):
-        self._calls, self._results = SimpleQueue(), SimpleQueue()
-        self._thread = None
-
-    def _serve(self, errstate: dict):
-        with np.errstate(**errstate):
-            while (args := self._calls.get()) is not None:
-                try:
-                    self._results.put((mc_kl(*args), None))
-                except BaseException as exc:  # raised again on the caller's thread
-                    self._results.put((None, exc))
-
-    def pair(self, first: tuple, second: tuple) -> list[McEstimate]:
-        # mc_kl(*first) on the caller's thread while the worker takes mc_kl(*second);
-        # both inline, as in a sequential run, if no thread can be started.
-        if self._thread is None:
-            errstate = dict(np.geterr(), call=np.geterrcall())
-            thread = threading.Thread(target=self._serve, args=(errstate,), name="gausskl-mc")
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to be had (a thread or memory limit)
-                return [mc_kl(*first), mc_kl(*second)]
-            self._thread = thread  # only a started thread is joined
-        self._calls.put(second)
-        estimate = mc_kl(*first)  # its error comes first, as in a sequential run
-        other, exc = self._results.get()
-        if exc is not None:
-            raise exc
-        return [estimate, other]
-
-    def close(self) -> None:
-        if self._thread is not None:
-            self._calls.put(None)  # taken after the call in hand, if any
-            self._thread.join()
-
-
 def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: int,
                  trial: Callable[[int], tuple[list[tuple], Callable]]) -> PropertyReport:
     """Fold Monte Carlo trials, running a trial's two ``mc_kl`` calls at once.
 
     ``trial(t_seed)`` draws a trial's inputs and returns its ``mc_kl`` argument
     tuples and a function from their estimates to its slacks.  A pair of calls
-    runs on the caller's thread and the campaign's worker, if the calls are large
-    enough and a second CPU is there; a lone call runs inline.
+    runs on the caller's thread and on one pool thread per campaign call,
+    started at its first pair and joined when the call returns or raises, if
+    the calls are large enough and a second CPU is there; a lone call runs inline.
     """
     # The 4-standard-error band is folded into each slack, so the tolerance
     # is 0.  A bad ``trials`` is left to _campaign, which reports it first.
@@ -261,21 +221,34 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
                 f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")
-    worker = _Worker()
+    inline = n_samples * dim < _PAIRED_NORMALS or _usable_cpus() < 2
+    pool = None
+
+    def estimates(calls: list[tuple]) -> list[McEstimate]:
+        nonlocal pool
+        if len(calls) < 2 or inline:
+            return [mc_kl(*c) for c in calls]
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import
+            # A new thread starts with numpy's default error state (per thread before numpy 2.0,
+            # a context variable from 2.0 on): the pool thread enters its caller's for good.
+            caller = np.errstate(**np.geterr(), call=np.geterrcall())
+            pool = ThreadPoolExecutor(1, "gausskl-mc", initializer=caller.__enter__)
+        try:
+            second = pool.submit(mc_kl, *calls[1])
+        except RuntimeError:  # no thread to be had; once shut down, every later submit fails too
+            pool.shutdown(cancel_futures=True)
+            return [mc_kl(*c) for c in calls]
+        return [mc_kl(*calls[0]), second.result()]  # the caller's error comes first
 
     def chunk(seeds: np.ndarray) -> list[tuple[float, ...]]:
-        inline = n_samples * dim < _PAIRED_NORMALS or _usable_cpus() < 2
-        rows = []
-        for t_seed in seeds.tolist():
-            calls, slacks = trial(t_seed)
-            paired = len(calls) == 2 and not inline
-            rows.append(slacks(*(worker.pair(*calls) if paired else [mc_kl(*c) for c in calls])))
-        return rows
+        return [slacks(*estimates(calls)) for calls, slacks in map(trial, seeds.tolist())]
 
     try:
         return _campaign(prop, trials, master_seed, 0.0, settings, dim, chunk)
     finally:
-        worker.close()
+        if pool is not None:
+            pool.shutdown()  # joins the pool thread
 
 
 def _matched_mixture(sy: SpdMatrix, t_seed: int) -> MixtureModel:

@@ -177,12 +177,15 @@ class TestNormalization:
     def test_import_loads_no_scipy_integrate_linalg_or_thread_pool(self):
         # The package has no runtime quadrature; only the tests integrate.  Its
         # LAPACK comes from scipy's extension file, without scipy.linalg.  Its one
-        # worker thread is started by a Monte Carlo campaign, not by the import.
+        # pool thread is started by a Monte Carlo campaign, not by the import, and
+        # concurrent.futures is imported there too: it loads logging, and the lazy
+        # import keeps that cost out of the benchmark's setup_s.
         src = str(Path(gausskl.__file__).resolve().parents[1])
         code = ("import gausskl, gausskl.cli, sys, threading; "
                 "assert 'scipy.integrate' not in sys.modules; "
                 "assert 'scipy.linalg' not in sys.modules; "
                 "assert 'concurrent.futures' not in sys.modules; "
+                "assert 'logging' not in sys.modules; "
                 "assert threading.active_count() == 1")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})

@@ -364,7 +364,7 @@ def _estimate(py, px, n, seed):
 
 class TestMonteCarloScheduling:
     # c1 runs each trial's two mc_kl calls at once, the first on the caller's thread and
-    # the second on one worker thread per campaign call; p1's lone call runs inline.
+    # the second on one pool thread per campaign call; p1's lone call runs inline.
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -438,7 +438,7 @@ class TestMonteCarloScheduling:
         (check_c1, 3, 5, False), (check_prop1, 2, 0, True), (check_prop1, 2, 1, True)])
     def test_failed_estimate_keeps_its_type(self, monkeypatch, two_cpus, campaign, trials,
                                             fails, on_caller):
-        # Call `fails` in trial order raises, on the caller's thread or the worker's.
+        # Call `fails` in trial order raises, on the caller's thread or the pool thread.
         # Its own type reaches the caller, and no thread is left.
         order = [derive_seed(derive_seed(5, t), s) for t in range(trials)
                  for s in ((3, 5) if campaign is check_c1 else (3,))]
@@ -457,41 +457,60 @@ class TestMonteCarloScheduling:
         assert (raised == [threading.get_ident()]) == on_caller
         assert threading.active_count() == before
 
-    def test_failed_thread_start_runs_both_calls_inline(self, monkeypatch, two_cpus, threads):
-        # Without a thread to be had, a campaign runs as it would on one CPU.
+    def test_failed_thread_start_runs_both_calls_inline(self, monkeypatch, two_cpus):
+        # Without a thread to be had, a campaign runs as it would on one CPU: it tries to
+        # start one thread, then makes every call on the caller's, none queued to run late.
         paired = _bits(check_c1(3, 2, 5, 10_000))
+        starts, calls, real = [], [], harness.mc_kl
 
         class Unstartable(threading.Thread):
             def start(self):
+                starts.append(self.name)
                 raise RuntimeError("can't start new thread")
 
-        threads.clear()
-        monkeypatch.setattr(harness.threading, "Thread", Unstartable)
+        def recording(py, px, n, seed):
+            calls.append(threading.get_ident())
+            return real(py, px, n, seed)
+
+        monkeypatch.setattr(threading, "Thread", Unstartable)
+        monkeypatch.setattr(harness, "mc_kl", recording)
         before = threading.active_count()
         assert _bits(check_c1(3, 2, 5, 10_000)) == paired
-        assert len(threads) == 6
-        assert set(threads.values()) == {threading.get_ident()}
+        assert starts == ["gausskl-mc_0"]
+        assert calls == [threading.get_ident()] * 6
         assert threading.active_count() == before
 
     def test_both_threads_see_the_callers_errstate(self, monkeypatch, two_cpus):
         # A new thread starts with numpy's default error state on every numpy version.
-        seen = {}
+        # Each campaign call starts its own pool thread, under its own caller's state.
+        seen = []
 
         def recording(py, px, n, seed):
-            seen[threading.get_ident()] = (np.geterr(), np.geterrcall())
+            seen.append((threading.current_thread().name, (np.geterr(), np.geterrcall())))
             return _estimate(py, px, n, seed)
 
         def callback(kind, flag):
             pass
 
+        def other_callback(kind, flag):
+            pass
+
         monkeypatch.setattr(harness, "mc_kl", recording)
-        with np.errstate(divide="ignore", over="call", under="warn", invalid="ignore",
-                         call=callback):
-            expected = (np.geterr(), np.geterrcall())
-            check_c1(2, 2, 3, 10_000)
-        assert len(seen) == 2
-        assert all(state == expected for state in seen.values())
-        assert expected != (np.geterr(), np.geterrcall())
+        default, states = (np.geterr(), np.geterrcall()), []
+        for errstate in (dict(divide="ignore", over="call", under="warn", invalid="ignore",
+                              call=callback),
+                         dict(divide="raise", over="ignore", under="ignore", invalid="call",
+                              call=other_callback)):
+            seen.clear()
+            with np.errstate(**errstate):
+                states.append((np.geterr(), np.geterrcall()))
+                check_c1(2, 2, 3, 10_000)
+            assert sorted(name for name, _ in seen) == sorted(
+                ["gausskl-mc_0"] * 2 + [threading.current_thread().name] * 2)
+            assert all(state == states[-1] for _, state in seen)
+        assert states[0] != states[1]
+        assert default not in states
+        assert default == (np.geterr(), np.geterrcall())
 
 
 class TestCallsPerChunk:

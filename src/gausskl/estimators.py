@@ -34,7 +34,7 @@ import numpy as np
 
 from .divergence import LN_2PI, Nats
 from .errors import BuildError, DimensionMismatch, SpreadTooLarge
-from .linalg import SpdMatrix, _solve_factor, solve_triangular
+from .linalg import SpdMatrix, solve_triangular
 
 _BLOCK = 8192  # draws per mc_kl block, so that a block's temporaries stay in cache
 
@@ -185,7 +185,7 @@ def mc_kl(py: DensityModel, px: DensityModel, n: int, seed: int) -> McEstimate:
         raise DimensionMismatch(f"model dims differ: {py.dim} != {px.dim}")
     if n < 100:
         raise ValueError(f"n must be >= 100 for a usable standard error, got {n}")
-    whiten = _solve_factor(px.covariance.lower, py.covariance.lower)
+    whiten = solve_triangular(px.covariance.lower, py.covariance.lower)
     rng = np.random.default_rng(seed)
     pick_one = rng.random(n) < py.weight if isinstance(py, MixtureModel) else None
     scales = None if pick_one is None else np.array([py.scale_two, py.scale_one])

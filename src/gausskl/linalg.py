@@ -5,14 +5,14 @@ raw arrays and get certified by :func:`validate_spd`, which keeps the Cholesky
 factor it computes (a diagonal matrix's factor is its square roots, taken
 without factoring): every consumer reads that one factor.  The package's own
 draws are exactly symmetric and finite, so they are only factored.  An inverse
-is applied through triangular routines on the factor: LAPACK's ``dtrtrs``
-solve (through :func:`solve_triangular`), BLAS ``dtrsm``, which gives
-``dtrtrs``'s bits and runs a small solve on the calling thread where OpenBLAS
-runs ``dtrtrs`` on its thread pool, and LAPACK ``dtrtri``, which inverts the
-64 x 64 unit-diagonal blocks of ``divergence._kl`` past its first (a normwise
-error bound, where a solve has a componentwise one: Du Croz & Higham, IMA J.
-Numer. Anal. 1992).  No full matrix is inverted.  The routines come from
-scipy's LAPACK and BLAS extensions, each loaded once on its own: importing
+is applied through triangular routines on the factor: :func:`solve_triangular`
+calls BLAS ``dtrsv`` for one column and ``dtrsm`` for several, as OpenBLAS's
+LAPACK solve does, so the bits are scipy's but a small solve runs on the
+calling thread, not OpenBLAS's pool; LAPACK ``dtrtri`` inverts the 64 x 64
+unit-diagonal blocks of ``divergence._kl`` past its first (a normwise error
+bound, where a solve has a componentwise one: Du Croz & Higham, IMA J. Numer.
+Anal. 1992).  No full matrix is inverted.  The routines come from scipy's
+LAPACK and BLAS extensions, each loaded once on its own: importing
 ``scipy.linalg`` would cost more start-up time than the rest of the package.
 The kernels take (T, m, m) stacks, so a campaign factors a chunk of trials
 per LAPACK call; the public functions are stacks of one.
@@ -64,32 +64,26 @@ def _load_extension(name: str):
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-_flapack = _load_extension("_flapack")
-dtrtrs, _dtrtri = _flapack.dtrtrs, _flapack.dtrtri
-_dtrsm = _load_extension("_fblas").dtrsm
+_dtrtri = _load_extension("_flapack").dtrtri
+_fblas = _load_extension("_fblas")
+_dtrsv, _dtrsm = _fblas.dtrsv, _fblas.dtrsm
 
 
 def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ x = b`` for a C-ordered lower-triangular ``a``; ``b`` is kept.
 
-    Makes the call scipy's ``solve_triangular(a, b, lower=True)`` makes for
-    such an ``a``: its F-ordered transpose solved as an upper factor with
-    ``trans=1``, so the bits are scipy's.  No finiteness check: certified
-    factors are finite.  Raises ``numpy.linalg.LinAlgError`` at a zero pivot.
+    Makes the BLAS calls that scipy's ``solve_triangular(a, b, lower=True)``
+    makes through OpenBLAS's LAPACK solve, so the bits are scipy's: ``dtrsv``
+    for one column (it divides by the pivots), ``dtrsm`` for several (it
+    multiplies by their reciprocals).  No finiteness check: certified factors
+    are finite.  Raises ``numpy.linalg.LinAlgError`` at a zero pivot; a NaN
+    pivot passes, as in LAPACK.
     """
-    x, info = dtrtrs(a.T, b, lower=0, trans=1)
-    if info != 0:  # > 0: the 1-based row of a zero pivot; < 0: an illegal argument
-        raise np.linalg.LinAlgError(f"singular triangular matrix: dtrtrs info {info}")
-    return x
-
-
-def _solve_factor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # solve_triangular(a, b) for a certified factor `a` and a square `b`, with its bits, but
-    # on the calling thread: OpenBLAS runs dtrtrs on its thread pool at any size, and the
-    # pool's threads then spin on the other cores for a while.  BLAS dtrsm on the same
-    # operands gives dtrtrs's bits and runs small solves inline; at m = 1, where OpenBLAS's
-    # dtrsm multiplies by 1 / a, its dtrtrs divides.  No pivot check: a factor's pivots are > 0.
-    return b / a if a.shape[0] == 1 else _dtrsm(1.0, a.T, b, side=0, lower=0, trans_a=1)
+    if not a.diagonal().all():
+        raise np.linalg.LinAlgError("singular triangular matrix: a zero pivot")
+    if b.shape[1] == 1:
+        return _dtrsv(a.T, b[:, 0], lower=0, trans=1)[:, None]
+    return _dtrsm(1.0, a.T, b, side=0, lower=0, trans_a=1)
 
 
 @dataclass(frozen=True)
@@ -245,9 +239,8 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
     g = np.empty((len(rngs), dim, dim))
     for rng, slab in zip(rngs, g):  # each generator's draw written in place
         rng.standard_normal(out=slab)
-    q, r = np.linalg.qr(g)
-    # Sign-fix the columns so q is Haar-distributed rather than QR-biased.
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    q, _ = np.linalg.qr(g)
+    # No column sign fix: it flips both q factors of a term of q diag(e) q.T, a bitwise no-op.
     a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
     return 0.5 * (a + a.swapaxes(-1, -2))
 

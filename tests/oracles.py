@@ -131,6 +131,23 @@ def log_uniform_spectrum(dim: int, seed: int, lo: float, hi: float) -> DiagSpect
     return DiagSpectrum.from_variances(np.exp(rng.uniform(math.log(lo), math.log(hi), size=dim)))
 
 
+def sign_fixed_symmetric(dim: int, seeds: list, condition_target: float) -> np.ndarray:
+    """``linalg._random_symmetric``'s draws as first written, one per seed, stacked.
+
+    From each ``np.random.default_rng(seed)``: dim eigenvalues log-uniform in
+    ``[1/sqrt(c), sqrt(c)]``, then a (dim, dim) standard normal matrix.  Its QR's
+    ``q``, with each column multiplied by the sign of ``r``'s pivot (a Haar ``q``),
+    conjugates the eigenvalues, and the result is averaged with its transpose.
+    """
+    half_log = 0.5 * math.log(condition_target)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    eigs = np.exp(np.array([rng.uniform(-half_log, half_log, size=dim) for rng in rngs]))
+    q, r = np.linalg.qr(np.array([rng.standard_normal((dim, dim)) for rng in rngs]))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[:, None, :]
+    a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
 def excess_series(u: float) -> float:
     """u - ln(1 + u) by its alternating Taylor series, for |u| <= 2**-10."""
     assert abs(u) <= 2.0 ** -10

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from gausskl import (
 )
 from gausskl import divergence, estimators, linalg
 from gausskl.linalg import MAX_DIM, DiagSpectrum
+from oracles import sign_fixed_symmetric
 
 
 class TestValidateSpd:
@@ -171,13 +175,13 @@ class TestFactoredOnce:
         # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.
         py = build_matched_mixture(random_spd(3, 4, 10.0), 0.4, 0.5)
         px = GaussianModel(random_spd(3, 5, 10.0))
-        solves = []
+        solves, solve = [], estimators.solve_triangular
 
-        def recording(name, solve):
-            return lambda a, b: solves.append((name, b.shape)) or solve(a, b)
+        def recording(a, b):
+            solves.append(("solve_triangular", b.shape))
+            return solve(a, b)
 
-        for name in ("solve_triangular", "_solve_factor"):
-            monkeypatch.setattr(estimators, name, recording(name, getattr(estimators, name)))
+        monkeypatch.setattr(estimators, "solve_triangular", recording)
 
         def never(*args, **kwargs):
             raise AssertionError("mc_kl materialized its draws")
@@ -186,47 +190,55 @@ class TestFactoredOnce:
             monkeypatch.setattr(cls, "sample", never)
             monkeypatch.setattr(cls, "log_density_batch", never)
         mc_kl(py, px, 20_000, seed=3)
-        assert solves == [("_solve_factor", (3, 3))]
+        assert solves == [("solve_triangular", (3, 3))]
+
+
+PARITY_DIMS = [1, 2, 3, 8, 17, 65, 200]
 
 
 class TestLapack:
-    # The package loads scipy's LAPACK extension itself; its solves must be scipy's, bit for bit.
+    # linalg.solve_triangular makes BLAS calls of its own; they must give scipy's
+    # solve_triangular (LAPACK dtrtrs) bits, bit for bit.
     @staticmethod
     def systems(m):
-        a = random_spd(m, m, 100.0).lower
-        points = np.random.default_rng(m).standard_normal((7, m))
-        return a, (random_spd(m, m + 1, 100.0).lower, points[:3].T.copy(), points.T)
+        # Factors at scales far from 1, against each other in both orders (square full and
+        # diagonal right-hand sides), and against 1 to 8193 columns, C- and F-ordered, also
+        # with a row of +inf, -inf, NaN or 1e308.
+        for seed, scale in enumerate((1e-300, 1e-3, 1.0, 1e3, 1e300)):
+            a = validate_spd(scale * random_spd(m, seed, 100.0).entries).lower
+            for b in (random_spd(m, seed + 50, 10.0).lower,
+                      random_diag_spectrum(m, seed).as_matrix().lower):
+                yield a, b
+                yield b, a
+            rng = np.random.default_rng(seed)
+            for k in (1, 2, 3, 7, 8193):
+                b = rng.standard_normal((m, k))
+                yield a, b
+                yield a, np.asfortranarray(b)  # _quad_form's points.T
+                for value in (math.inf, -math.inf, math.nan, 1e308):
+                    c = b.copy()
+                    c[m // 2] = value
+                    yield a, c
 
-    @pytest.mark.parametrize("m", [1, 8, 65])
+    @pytest.mark.parametrize("m", PARITY_DIMS)
     def test_solve_triangular_matches_scipy_bit_for_bit(self, m):
-        a, rhs = self.systems(m)
-        for b in rhs:
-            expected = scipy.linalg.solve_triangular(a, b, lower=True)
-            assert np.array_equal(linalg.solve_triangular(a, b), expected)
+        for a, b in self.systems(m):
+            expected = scipy.linalg.solve_triangular(a, b, lower=True, check_finite=False)
+            x = linalg.solve_triangular(a, b)
+            assert x.shape == expected.shape
+            assert x.tobytes() == expected.tobytes(), (m, b.shape)
 
-    @pytest.mark.parametrize("m", [1, 8, 65])
-    @pytest.mark.parametrize("flags", [dict(lower=1), dict(lower=0, trans=1, unitdiag=1)])
-    def test_dtrtrs_matches_scipy_lapack_bit_for_bit(self, m, flags):
-        a, rhs = self.systems(m)
-        factor = a if flags["lower"] else a.T
-        for b in rhs:
-            x, info = linalg.dtrtrs(factor, b, **flags)
-            expected, expected_info = scipy.linalg.lapack.dtrtrs(factor, b, **flags)
-            assert info == expected_info == 0
-            assert np.array_equal(x, expected)
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 8, 65])
-    def test_factor_solve_matches_solve_triangular_bit_for_bit(self, m):
-        # mc_kl's whitening solve: BLAS dtrsm, or a division at m = 1, with dtrtrs's bits,
-        # for full and diagonal factors at scales far from 1.
-        for seed in range(10):
-            for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
-                a = validate_spd(scale * random_spd(m, seed, 100.0).entries).lower
-                for b in (random_spd(m, seed + 50, 10.0).lower,
-                          random_diag_spectrum(m, seed).as_matrix().lower):
-                    for x, y in ((a, b), (b, a)):
-                        expected = linalg.solve_triangular(x, y)
-                        assert np.array_equal(linalg._solve_factor(x, y), expected)
+    def test_parity_holds_at_two_openblas_threads(self):
+        # OpenBLAS threads large trsv and trsm calls (and dtrtrs): the same check in a
+        # fresh interpreter whose OpenBLAS runs two threads.
+        tests = Path(__file__).resolve().parent
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+               "PYTHONPATH": str(Path(linalg.__file__).resolve().parents[1])}
+        code = ("import test_linalg\nfor m in test_linalg.PARITY_DIMS:\n"
+                "    test_linalg.TestLapack().test_solve_triangular_matches_scipy_bit_for_bit(m)")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tests, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_positional_signatures_the_kernel_relies_on(self):
         # divergence._kl passes dtrsm's and dtrtri's flags by position; scipy's f2py
@@ -237,10 +249,18 @@ class TestLapack:
                               "dtrtri(c,[lower,unitdiag,overwrite_c])"]
 
     def test_zero_pivot_raises(self):
+        # dtrtrs's rule, for one column and several: an exact zero pivot (-0.0 too) is
+        # singular, a NaN pivot is not.
         a = np.tril(np.ones((3, 3)))
-        a[1, 1] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            linalg.solve_triangular(a, np.ones((3, 2)))
+        for k in (1, 2):
+            for pivot in (0.0, -0.0):
+                a[1, 1] = pivot
+                with pytest.raises(np.linalg.LinAlgError):
+                    linalg.solve_triangular(a, np.ones((3, k)))
+            a[1, 1] = math.nan
+            expected = scipy.linalg.solve_triangular(a, np.ones((3, k)), lower=True,
+                                                     check_finite=False)
+            assert linalg.solve_triangular(a, np.ones((3, k))).tobytes() == expected.tobytes()
 
 
 class TestCholesky:
@@ -339,6 +359,16 @@ class TestRandomSpd:
         np.testing.assert_array_equal(a.entries, random_spd(3, 2 ** 64 + 5, 10.0).entries)
         with pytest.raises(ValueError):
             random_spd(3, -1, 10.0)
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4])
+    @pytest.mark.parametrize("n", [1, 4, 25])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 64])
+    def test_draws_equal_the_sign_fixed_reference_bit_for_bit(self, dim, n, cond):
+        # Flipping a column of q flips both factors of its term in q diag(e) q.T, so the
+        # draws need no sign fix to be the Haar-conjugated ones.
+        seeds = [derive_seed(dim, t) for t in range(n)]
+        a = linalg._random_symmetric(dim, [np.random.default_rng(s) for s in seeds], cond)
+        assert a.tobytes() == sign_fixed_symmetric(dim, seeds, cond).tobytes()
 
 
 class TestInPlaceDraws:

@@ -14,9 +14,7 @@ Matrix files are headerless CSV.  Reports are a single JSON object on stdout
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import math
 import sys
 
@@ -37,6 +35,7 @@ from .linalg import _check_condition, random_spd, read_matrix_csv, validate_spd,
 
 @functools.cache  # built once per process: argparse measures the terminal at every argument
 def _build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, as json in the printers: importing the module loads neither
     parser = argparse.ArgumentParser(
         prog="gausskl",
         description="KL divergence between zero-mean Gaussians: closed forms, "
@@ -77,6 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _print_report(command: str, inputs: dict, results: dict) -> None:
     # The kl (json) and gen report: one JSON object on stdout; verify prints its own schema.
+    import json
     print(json.dumps({"command": command, "inputs": inputs, "results": results, "status": "ok"}))
 
 
@@ -126,6 +126,7 @@ def _cmd_verify(args) -> int:
     if len(reports) == 1:
         print(reports[0].to_json())
     else:
+        import json
         combined = {
             "proposition": "all",
             "reports": [r.as_dict() for r in reports],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import DiagSpectrum, SpdMatrix, _dtrsm, _dtrtri
+from .linalg import DiagSpectrum, SpdMatrix, _extension
 
 # Divergences are measured in nats (natural log) throughout; callers convert.
 Nats = float
@@ -100,13 +100,15 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
                 for r in range(0, i, b):  # nt is upper: tile r is zero left of column r
                     w[:, r:r + b] -= nt[:, r:r + b, r:i] @ a[:, :, r:i].swapaxes(1, 2)
                 if i == 0:
+                    dtrsm = _extension("_fblas").dtrsm
                     for a_s, w_s in zip(a.swapaxes(1, 2), w.swapaxes(1, 2)):
-                        _dtrsm(1.0, a_s, w_s, 0, 0, 1, 1, 1)
+                        dtrsm(1.0, a_s, w_s, 0, 0, 1, 1, 1)
                 else:
                     w[:, i:] -= a[:, :, i:].swapaxes(1, 2)  # N - I on the diagonal block
                     inv = a[:, :, i:].copy()  # C-ordered, so dtrtri inverts each .T in place
+                    dtrtri = _extension("_flapack").dtrtri
                     for inv_s in inv.swapaxes(1, 2):
-                        _, info = _dtrtri(inv_s, 0, 1, 1)
+                        _, info = dtrtri(inv_s, 0, 1, 1)
                         if info != 0:  # < 0: an illegal argument; a unit diagonal has no 0 pivot
                             raise np.linalg.LinAlgError(f"triangular inverse: dtrtri info {info}")
                     w = w @ inv.swapaxes(1, 2)

@@ -32,7 +32,7 @@ depend on the pairing.
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 import operator
 import os
@@ -98,13 +98,18 @@ def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
     return words ^ (words >> 16)
 
 
-class _SeedWords(np.random.bit_generator.ISeedSequence):
-    # Hands PCG64 the four uint64 words SeedSequence(seed).generate_state(4, uint64) gives.
-    def __init__(self, words: np.ndarray):
-        self.words = words
+@functools.cache  # defined at the first draw: subclassing ISeedSequence imports numpy.random
+def _seed_words() -> type:
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        # Hands PCG64 the four uint64 words SeedSequence(seed).generate_state(4, uint64) gives.
+        # A subclass, not a registered one: PCG64 checks a virtual subclass 0.3 us slower.
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
 
 
 def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
@@ -126,7 +131,8 @@ def _generators(seeds: np.ndarray) -> list[np.random.Generator]:
     words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MUL)
     # Word pairs little-endian, as numpy views them: word 2j is the low half.
     state = np.ascontiguousarray(((words[1::2].astype(np.uint64) << 32) | words[::2]).T)
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in state]
+    seed_words = _seed_words()
+    return [np.random.Generator(np.random.PCG64(seed_words(w))) for w in state]
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,7 @@ class PropertyReport:
         return asdict(self)
 
     def to_json(self) -> str:
+        import json  # not at import: kl never writes a report
         return json.dumps(self.as_dict())
 
 

@@ -12,8 +12,9 @@ calling thread, not OpenBLAS's pool; LAPACK ``dtrtri`` inverts the 64 x 64
 unit-diagonal blocks of ``divergence._kl`` past its first (a normwise error
 bound, where a solve has a componentwise one: Du Croz & Higham, IMA J. Numer.
 Anal. 1992).  No full matrix is inverted.  The routines come from scipy's
-LAPACK and BLAS extensions, each loaded once on its own: importing
-``scipy.linalg`` would cost more start-up time than the rest of the package.
+extension files, each executed once, at first use: ``_fblas`` at the first
+solve, ``_flapack`` at the first inverse (m >= 65).  Their OpenBLAS reads
+``OPENBLAS_*`` then, not at import, and scipy's package is never imported.
 The kernels take (T, m, m) stacks, so a campaign factors a chunk of trials
 per LAPACK call; the public functions are stacks of one.
 """
@@ -25,10 +26,10 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import (
     AsymmetryExceedsTolerance,
@@ -46,27 +47,34 @@ ASYMMETRY_TOL = 1e-8
 MAX_DIM = 512
 
 
-def _load_extension(name: str):
-    # scipy.linalg's f2py LAPACK (_flapack) or BLAS (_fblas) module, loaded from its
-    # file under a private name.  The name must end in `name`: the extension's init
-    # symbol is PyInit_<name>.  CPython lists a single-phase extension in sys.modules
-    # as it loads; the private name is dropped from there again.
-    base = os.path.join(scipy.__path__[0], "linalg", name)
+def _extension_spec(name: str):
+    # scipy.linalg's f2py BLAS (_fblas) or LAPACK (_flapack) file, found without running scipy's
+    # __init__; its private module name ends in `name`, as its init symbol is PyInit_<name>.
+    spec = importlib.util.find_spec("scipy")
+    base = os.path.join(spec.submodule_search_locations[0] if spec else "", "linalg", name)
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(base + suffix):
-            spec = importlib.util.spec_from_file_location(f"{__package__}.{name}",
-                                                          base + suffix)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules.pop(spec.name, None)
-            return module
+            return importlib.util.spec_from_file_location(f"{__package__}.{name}", base + suffix)
     raise ImportError(f"scipy's {name} extension not found: no {base}<suffix> for any of "
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-_dtrtri = _load_extension("_flapack").dtrtri
-_fblas = _load_extension("_fblas")
-_dtrsv, _dtrsm = _fblas.dtrsv, _fblas.dtrsm
+_EXTENSION_SPECS = {name: _extension_spec(name) for name in ("_fblas", "_flapack")}
+_extensions: dict = {}
+_extension_lock = threading.Lock()  # c1's two threads reach their first solve together
+
+
+def _extension(name: str):
+    # The module of _EXTENSION_SPECS[name], executed once, at first use.  CPython lists a
+    # single-phase extension in sys.modules as it loads; its private name is dropped again.
+    with _extension_lock:
+        if name not in _extensions:
+            spec = _EXTENSION_SPECS[name]
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(spec.name, None)
+            _extensions[name] = module
+        return _extensions[name]
 
 
 def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -81,9 +89,10 @@ def solve_triangular(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if not a.diagonal().all():
         raise np.linalg.LinAlgError("singular triangular matrix: a zero pivot")
+    blas = _extension("_fblas")
     if b.shape[1] == 1:
-        return _dtrsv(a.T, b[:, 0], lower=0, trans=1)[:, None]
-    return _dtrsm(1.0, a.T, b, side=0, lower=0, trans_a=1)
+        return blas.dtrsv(a.T, b[:, 0], lower=0, trans=1)[:, None]
+    return blas.dtrsm(1.0, a.T, b, side=0, lower=0, trans_a=1)
 
 
 @dataclass(frozen=True)
@@ -271,14 +280,15 @@ def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless CSV matrix file into a raw (unvalidated) array.
 
     One row per line, comma-separated decimal entries; whitespace-only lines are ignored.
-    More than ``MAX_DIM`` rows raise ValueError before numpy's ``loadtxt`` parses any.
-    Empty, ragged or non-numeric input (underscore numerals included) raises MatrixParseError.
+    More than ``MAX_DIM`` rows, or a first row of more than ``MAX_DIM`` fields, raise
+    ValueError before numpy's ``loadtxt`` parses any.  Empty, ragged or non-numeric input
+    (underscore numerals included) raises MatrixParseError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line for line in fh if line.strip()]
     if not rows:
         raise MatrixParseError(f"{path}: no numeric rows found")
-    _check_dim(len(rows))
+    _check_dim(max(len(rows), rows[0].count(",") + 1))
     try:
         return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:

@@ -238,6 +238,21 @@ class TestKlDiagonalReference:
         assert code == 2
         assert "error: ValueError: " in err and "maximum 512" in err
 
+    def test_overwide_first_row_value_error(self, tmp_path, capsys, monkeypatch):
+        # A 1 x 513 file is refused by its first row's field count, before it is parsed.
+        x = tmp_path / "x.csv"
+        x.write_text(",".join(["1"] * 513) + "\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on an over-wide file")
+
+        monkeypatch.setattr(np, "loadtxt", never)
+        with pytest.raises(ValueError, match="dimension 513 exceeds supported maximum 512"):
+            read_matrix_csv(x)
+        code, _, err = run(capsys, "kl", "--x", str(x), "--y", str(x))
+        assert code == 2
+        assert "error: ValueError: dimension 513 exceeds supported maximum 512" in err
+
 
 class TestGenCommand:
     def test_round_trip_divergence_exactly_zero(self, tmp_path, capsys):

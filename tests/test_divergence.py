@@ -21,7 +21,7 @@ from gausskl import (
     random_spd,
     validate_spd,
 )
-from gausskl import divergence
+from gausskl import divergence, linalg
 from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
 from gausskl.linalg import _factor, _random_symmetric
 
@@ -536,10 +536,12 @@ class TestDiagonalReference:
 
     @staticmethod
     def recording(monkeypatch):
-        calls = {"_dtrsm": [], "_dtrtri": []}
-        for name, log in calls.items():
-            routine = getattr(divergence, name)
-            monkeypatch.setattr(divergence, name,
+        # _kl reads each routine off its extension module once per call.
+        calls = {"dtrsm": [], "dtrtri": []}
+        for module, name in (("_fblas", "dtrsm"), ("_flapack", "dtrtri")):
+            module, log = linalg._extension(module), calls[name]
+            routine = getattr(module, name)
+            monkeypatch.setattr(module, name,
                                 lambda *a, log=log, routine=routine: log.append(1) or routine(*a))
         return calls
 
@@ -554,7 +556,7 @@ class TestDiagonalReference:
         assert [v.hex() for v in values.tolist()] == [
             self.reference(a, b).hex() for a, b in zip(lx, ly)]
         assert values[2] == 0.0 and math.copysign(1.0, values[2]) == 1.0
-        assert calls == {"_dtrsm": [], "_dtrtri": []}
+        assert calls == {"dtrsm": [], "dtrtri": []}
 
     @pytest.mark.parametrize("m", [4, 64, 130])
     @pytest.mark.parametrize("dense", [0, 1, 2])
@@ -569,7 +571,7 @@ class TestDiagonalReference:
         values = divergence._kl(np.stack(lx), np.stack(ly))
         assert [v.hex() for v in values.tolist()] == [
             self.reference(a, b).hex() for a, b in zip(lx, ly)]
-        assert (len(calls["_dtrsm"]), len(calls["_dtrtri"])) == (3, 3 * (-(-m // 64) - 1))
+        assert (len(calls["dtrsm"]), len(calls["dtrtri"])) == (3, 3 * (-(-m // 64) - 1))
 
     def test_overflowing_column_ratio_is_never_nan(self):
         # A subnormal first pivot under a row of variance 2**1000: b = Ly / dy overflows in

@@ -29,6 +29,14 @@ from gausskl.harness import derive_seed
 
 from oracles import log_uniform_spectrum, normal_log_pdf
 
+# Fresh-interpreter prelude: loads() lists the package's extension modules executed so far.
+LOADS = ("import importlib.machinery, sys\n"
+         "_created, _create = [], importlib.machinery.ExtensionFileLoader.create_module\n"
+         "importlib.machinery.ExtensionFileLoader.create_module = (\n"
+         "    lambda self, spec: _created.append(spec.name) or _create(self, spec))\n"
+         "def loads():\n"
+         "    return [n.split('.')[-1] for n in _created if n.startswith('gausskl.')]\n")
+
 
 def std_normal(dim=1):
     return GaussianModel(validate_spd(np.eye(dim)))
@@ -175,20 +183,60 @@ class TestNormalization:
         assert (one.scale_one, one.scale_two) == (two.scale_one, two.scale_two)
 
     def test_import_loads_no_scipy_integrate_linalg_or_thread_pool(self):
-        # The package has no runtime quadrature; only the tests integrate.  Its
-        # LAPACK comes from scipy's extension file, without scipy.linalg.  Its one
+        # The package has no runtime quadrature; only the tests integrate.  Its BLAS and
+        # LAPACK come from scipy's extension files, without scipy's package, each executed
+        # at its first use: _fblas at the first solve, _flapack at the first inverse
+        # (m >= 65); a p3 campaign, whose references are diagonal, needs neither.  Its one
         # pool thread is started by a Monte Carlo campaign, not by the import, and
         # concurrent.futures is imported there too: it loads logging, and the lazy
-        # import keeps that cost out of the benchmark's setup_s.
+        # import keeps that cost out of the benchmark's setup_s.  numpy.random, argparse
+        # and json are imported at the first draw, parser and report.
         src = str(Path(gausskl.__file__).resolve().parents[1])
-        code = ("import gausskl, gausskl.cli, sys, threading; "
-                "assert 'scipy.integrate' not in sys.modules; "
-                "assert 'scipy.linalg' not in sys.modules; "
-                "assert 'concurrent.futures' not in sys.modules; "
-                "assert 'logging' not in sys.modules; "
-                "assert threading.active_count() == 1")
+        code = LOADS + (
+            "import gausskl, gausskl.cli, threading\n"
+            "scipy = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "assert not scipy, scipy\n"
+            "for name in ('numpy.random', 'argparse', 'json', 'concurrent.futures', 'logging'):\n"
+            "    assert name not in sys.modules, name\n"
+            "assert threading.active_count() == 1\n"
+            "gausskl.check_prop3(3, 4, 1, 100.0)\n"
+            "assert loads() == [], loads()\n"
+            "for m, expected in ((64, ['_fblas']), (65, ['_fblas', '_flapack'])):\n"
+            "    sx, sy = gausskl.random_spd(m, 1, 10.0), gausskl.random_spd(m, 2, 10.0)\n"
+            "    gausskl.kl_gaussian(sx, sy)\n"
+            "    assert loads() == expected, (m, loads())\n"
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n")
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
+
+    def test_first_solve_under_contention_loads_blas_once(self, monkeypatch):
+        # A paired c1 campaign makes the process's first solves on two threads at once:
+        # _fblas is executed once, and the report has the bits of a process that solved
+        # before.  Then threads released together by a barrier ask for _flapack at once.
+        src = str(Path(gausskl.__file__).resolve().parents[1])
+        code = LOADS + (
+            "import threading\n"
+            "sys.setswitchinterval(1e-6)  # a thread switch at every chance\n"
+            "from gausskl import check_c1, harness, linalg\n"
+            "harness._usable_cpus = lambda: 2\n"
+            "report = check_c1(2, 2, 17, 20_000)\n"
+            "assert loads() == ['_fblas'], loads()\n"
+            "barrier, got = threading.Barrier(4), []\n"
+            "def first():\n"
+            "    barrier.wait(60)\n"
+            "    got.append(linalg._extension('_flapack'))\n"
+            "threads = [threading.Thread(target=first) for _ in range(4)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(60)\n"
+            "assert len(got) == 4 and len(set(map(id, got))) == 1, got\n"
+            "assert loads() == ['_fblas', '_flapack'], loads()\n"
+            "print(report.to_json())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        estimators.solve_triangular(np.eye(2), np.ones((2, 1)))  # this process has solved
+        monkeypatch.setattr(gausskl.harness, "_usable_cpus", lambda: 2)
+        assert proc.stdout.strip() == gausskl.check_c1(2, 2, 17, 20_000).to_json()
 
 
 class TestSample:

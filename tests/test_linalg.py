@@ -27,7 +27,7 @@ from gausskl import (
     validate_spd,
     write_matrix_csv,
 )
-from gausskl import divergence, estimators, linalg
+from gausskl import estimators, linalg
 from gausskl.linalg import MAX_DIM, DiagSpectrum
 from oracles import sign_fixed_symmetric
 
@@ -154,20 +154,21 @@ class TestFactoredOnce:
         # reference, no solve and no inversion either.
         pairs = [(m, sx, random_spd(m, 9, 100.0)) for m in (4, 64, 65, 130)
                  for sx in (random_spd(m, 8, 100.0), random_diag_spectrum(m, 8).as_matrix())]
-        calls = {"_dtrsm": [], "_dtrtri": []}
+        calls = {"dtrsm": [], "dtrtri": []}
 
         def recording(log, routine):
             return lambda *a, **k: log.append(1) or routine(*a, **k)
 
-        for name, log in calls.items():
-            monkeypatch.setattr(divergence, name, recording(log, getattr(divergence, name)))
+        for module, name in (("_fblas", "dtrsm"), ("_flapack", "dtrtri")):
+            module = linalg._extension(module)
+            monkeypatch.setattr(module, name, recording(calls[name], getattr(module, name)))
         chols, chol = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
         for m, sx, sy in pairs:
             for log in calls.values():
                 log.clear()
             kl_gaussian(sx, sy)
-            counts = len(calls["_dtrsm"]), len(calls["_dtrtri"]), len(chols)
+            counts = len(calls["dtrsm"]), len(calls["dtrtri"]), len(chols)
             diagonal = np.count_nonzero(sx.lower) == m
             assert counts == ((0, 0, 0) if diagonal else (1, -(-m // 64) - 1, 0))
 
@@ -243,8 +244,8 @@ class TestLapack:
     def test_positional_signatures_the_kernel_relies_on(self):
         # divergence._kl passes dtrsm's and dtrtri's flags by position; scipy's f2py
         # docstrings name the order (any scipy >= 1.10 is allowed).
-        signatures = [f.__doc__.splitlines()[0].split(" = ")[1] for f in (linalg._dtrsm,
-                                                                          linalg._dtrtri)]
+        routines = linalg._extension("_fblas").dtrsm, linalg._extension("_flapack").dtrtri
+        signatures = [f.__doc__.splitlines()[0].split(" = ")[1] for f in routines]
         assert signatures == ["dtrsm(alpha,a,b,[side,lower,trans_a,diag,overwrite_b])",
                               "dtrtri(c,[lower,unitdiag,overwrite_c])"]
 

@@ -23,11 +23,8 @@ the first on the caller's thread, the second on one pool thread per campaign
 call, started at its first pair and joined when the call returns or raises,
 under the caller's ``np.errstate``.  numpy releases the GIL while it draws
 normals and in its ufunc loops, so the pair overlaps on two cores.  A lone
-call runs inline, and so does every call of a campaign with fewer than
-``_PAIRED_NORMALS`` normals per call (``n_samples * dim``) or in a process
-whose CPU affinity allows one CPU only: there the handoffs would cost more
-than the overlap saves.  Each call owns its generator, so the bits do not
-depend on the pairing.
+call runs inline.  Each call owns its generator, so the bits do not depend on
+the pairing.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -200,18 +196,6 @@ def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: st
     return PropertyReport(prop, trials, violations, worst, digest)
 
 
-# Normals per mc_kl call (n_samples * dim) from which a trial's two calls run at once.
-# Below it the threads' handoffs cost more than the overlap saves: at dim 1 and
-# n_samples 1e4 a paired c1 campaign was 1.16-1.41x slower, at dim 2 0.84-0.99x.
-_PAIRED_NORMALS = 20_000
-
-
-def _usable_cpus() -> int:
-    # CPUs this process may run on (all of them where the platform has no affinity call).
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
 def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: int,
                  trial: Callable[[int], tuple[list[tuple], Callable]]) -> PropertyReport:
     """Fold Monte Carlo trials, running a trial's two ``mc_kl`` calls at once.
@@ -219,8 +203,8 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
     ``trial(t_seed)`` draws a trial's inputs and returns its ``mc_kl`` argument
     tuples and a function from their estimates to its slacks.  A pair of calls
     runs on the caller's thread and on one pool thread per campaign call,
-    started at its first pair and joined when the call returns or raises, if
-    the calls are large enough and a second CPU is there; a lone call runs inline.
+    started at its first pair and joined when the call returns or raises; a
+    lone call runs inline.
     """
     # The 4-standard-error band is folded into each slack, so the tolerance
     # is 0.  A bad ``trials`` is left to _campaign, which reports it first.
@@ -228,12 +212,11 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
                 f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")
-    inline = n_samples * dim < _PAIRED_NORMALS or _usable_cpus() < 2
     pool = None
 
     def estimates(calls: list[tuple]) -> list[McEstimate]:
         nonlocal pool
-        if len(calls) < 2 or inline:
+        if len(calls) < 2:
             return [mc_kl(*c) for c in calls]
         if pool is None:
             from concurrent.futures import ThreadPoolExecutor  # loads logging, so not at import

@@ -189,7 +189,8 @@ def validate_spd(raw) -> SpdMatrix:
     _check_dim(arr.shape[0])
     if not np.all(np.isfinite(arr)):
         raise NotPositiveDefinite("matrix has non-finite entries")
-    worst = float((np.abs(arr - arr.T) / np.maximum(1.0, np.abs(arr))).max())
+    with np.errstate(over="ignore"):  # a difference that overflows is an infinite asymmetry
+        worst = float((np.abs(arr - arr.T) / np.maximum(1.0, np.abs(arr))).max())
     if worst > ASYMMETRY_TOL:
         raise AsymmetryExceedsTolerance(
             f"relative asymmetry {worst:.3e} exceeds tolerance {ASYMMETRY_TOL:.1e}"

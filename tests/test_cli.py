@@ -357,6 +357,19 @@ def test_gen_and_kl_in_a_fresh_interpreter(tmp_path):
     assert kl == kl_gaussian(sx, sy) > 0.0
 
 
+def test_overflowing_asymmetry_exits_2_with_warnings_as_errors(tmp_path):
+    # Under -W error a RuntimeWarning would escape main's handler and exit 1, "violation found".
+    env = {**os.environ, "PYTHONPATH": str(Path(gausskl.__file__).resolve().parents[1])}
+    x = tmp_path / "x.csv"
+    write_csv(x, [[1e308, 1e308], [-1e308, 1e308]])
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gausskl.cli", "kl",
+                           "--x", str(x), "--y", str(x)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: AsymmetryExceedsTolerance: relative asymmetry inf exceeds tolerance 1.0e-08"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
 def test_gen_to_a_stdout_pipe_returns():
     # The CSV, then the report, on one pipe; gen does not read the pipe back.

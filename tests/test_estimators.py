@@ -209,7 +209,7 @@ class TestNormalization:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
-    def test_first_solve_under_contention_loads_blas_once(self, monkeypatch):
+    def test_first_solve_under_contention_loads_blas_once(self):
         # A paired c1 campaign makes the process's first solves on two threads at once:
         # _fblas is executed once, and the report has the bits of a process that solved
         # before.  Then threads released together by a barrier ask for _flapack at once.
@@ -217,8 +217,7 @@ class TestNormalization:
         code = LOADS + (
             "import threading\n"
             "sys.setswitchinterval(1e-6)  # a thread switch at every chance\n"
-            "from gausskl import check_c1, harness, linalg\n"
-            "harness._usable_cpus = lambda: 2\n"
+            "from gausskl import check_c1, linalg\n"
             "report = check_c1(2, 2, 17, 20_000)\n"
             "assert loads() == ['_fblas'], loads()\n"
             "barrier, got = threading.Barrier(4), []\n"
@@ -235,7 +234,6 @@ class TestNormalization:
                               env={**os.environ, "PYTHONPATH": src}, timeout=300)
         assert proc.returncode == 0, proc.stderr
         estimators.solve_triangular(np.eye(2), np.ones((2, 1)))  # this process has solved
-        monkeypatch.setattr(gausskl.harness, "_usable_cpus", lambda: 2)
         assert proc.stdout.strip() == gausskl.check_c1(2, 2, 17, 20_000).to_json()
 
 

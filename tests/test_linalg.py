@@ -66,6 +66,11 @@ class TestValidateSpd:
         with pytest.raises(AsymmetryExceedsTolerance):
             validate_spd(raw)
 
+    def test_overflowing_asymmetry_rejected(self):
+        # 1e308 - (-1e308) overflows: an infinite asymmetry, raised without a RuntimeWarning.
+        with pytest.raises(AsymmetryExceedsTolerance, match="relative asymmetry inf"):
+            validate_spd([[1e308, 1e308], [-1e308, 1e308]])
+
     def test_non_finite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             validate_spd([[1.0, np.nan], [np.nan, 1.0]])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import sys
 import threading
 
@@ -377,7 +378,8 @@ class TestMonteCarloScheduling:
         monkeypatch.setattr(harness, "mc_kl", recording)
         return seen
 
-    @pytest.mark.parametrize("dim, n", [(1, 10_000), (1, 20_000), (2, 20_000), (3, 20_000)])
+    @pytest.mark.parametrize("dim, n", [(1, 10_000), (1, 20_000), (2, 10_000), (2, 20_000),
+                                        (3, 10_000), (3, 20_000)])
     @pytest.mark.parametrize("trials", [1, 2, 3, 5])
     @pytest.mark.parametrize("prop", sorted(MC_CAMPAIGNS))
     def test_matches_sequential_reference(self, chunk_rows, prop, trials, dim, n):
@@ -413,6 +415,23 @@ class TestMonteCarloScheduling:
         assert len(threads) == {check_c1: 2, check_prop1: 1}[campaign] * trials
         assert threading.get_ident() in threads.values()
         assert len(set(threads.values())) == used
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_affinity_still_pairs_with_the_same_bits(self, threads):
+        # Pinned to one CPU, c1 still starts its pool thread, which inherits the pin,
+        # and the report keeps the bits of an unpinned run.
+        free = _bits(check_c1(3, 2, 7, 10_000))
+        threads.clear()
+        cpus = os.sched_getaffinity(0)
+        before = threading.active_count()
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            pinned = _bits(check_c1(3, 2, 7, 10_000))
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert pinned == free
+        assert len(threads) == 6 and len(set(threads.values())) == 2
         assert threading.active_count() == before
 
     class Failed(Exception):

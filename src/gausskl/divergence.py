@@ -69,58 +69,42 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     # kl_gaussian over (T, m, m) stacks of factors, one value per slice.
     (t, m, _), b = lx.shape, _SOLVE_BLOCK
     dx, dy = np.diagonal(lx, axis1=1, axis2=2).copy(), np.diagonal(ly, axis1=1, axis2=2).copy()
-    # Each nt slice is N's C-ordered transpose, N = a^-1 b for the column-normalized
-    # a = Lx / dx, b = Ly / dy (M is N scaled by dy / dx).  Row block i:k takes
-    # w = (b[i:k, :k] - a[i:k, :i] N[:i, :k]).T, one matmul per nonzero tile of nt (about
-    # m^3/3 flops), and N[i:k, :k] = a[i:k, i:k]^-1 w.T with a unit diagonal.  Block 0, the
-    # only one for m <= 64, solves it (BLAS dtrsm on a.T, trans_a=1: solve_triangular's
-    # bits, on the calling thread).  A later block inverts its diagonal block once (LAPACK
-    # dtrtri on a.T, in place, 64^3/3 flops) and applies the inverse as one matmul
-    # (2 * 64^2 flops per row of w, at GEMM speed), to N - I on the diagonal block so that
-    # a == b gives exactly 0 there, as a solve does.
-    # The BLAS and LAPACK calls take positional arguments (dtrsm: side=0, lower=0, trans_a=1,
-    # diag=1, overwrite_b=1; dtrtri: lower=0, unitdiag=1, overwrite_c=1) on the F-ordered
-    # slices of stacks transposed once: 50 keyword calls on each slice's .T took 73 us at
-    # m = 4, these 32 us.
-    nt = np.zeros(ly.shape)
+    # N = a^-1 b for the column-normalized a = Lx / dx, b = Ly / dy, and M[r, c] =
+    # N[r, c] * dy[c] / dx[r], 64 rows at a time.  Row block i:k takes w = b[i:k, :k] less
+    # a[i:k, :i] N[:i, :k], one matmul per nonzero 64-column tile of N (about m^3/3 flops),
+    # then solves a[i:k, i:k] N[i:k, :k] = w in place by one unit-diagonal BLAS dtrsm per
+    # slice.  It runs on w's F-ordered view, as N[i:k, :k].T a[i:k, i:k].T = w.T, with
+    # positional arguments (side=1, lower=0, trans_a=0, diag=1, overwrite_b=1): 50 keyword
+    # calls took 73 us at m = 4, these 32 us.  N is kept while a later block reads it; the
+    # block is then scaled to M in cache and its strict lower part's squares summed, one
+    # BLAS dot per slice and block.
+    squares = 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
         # Every lx slice diagonal (its pivots are > 0)?  A nonzero subdiagonal, an O(m) read,
         # spares a dense stack the full count (0.26 ms at m = 512, 5-9% of the kernel).
-        if np.count_nonzero(np.diagonal(lx, -1, 1, 2)) == 0 and np.count_nonzero(lx) == t * m:
-            # Then a is the identity and N = b.  A solve against it subtracts only 0 * N terms
-            # from b, so this is its bits wherever b is finite; where b overflows, the solve's
-            # 0 * inf gives NaN and this +inf.
-            np.divide(ly.swapaxes(1, 2), dy[:, :, None], out=nt)
-        else:
-            for i in range(0, m, b):
-                k = min(i + b, m)
+        # Then a is the identity and N = b: a solve against it subtracts only 0 * N terms
+        # from b, so this is its bits wherever b is finite; where b overflows, the solve's
+        # 0 * inf gives NaN and this +inf.
+        dense = np.count_nonzero(np.diagonal(lx, -1, 1, 2)) or np.count_nonzero(lx) != t * m
+        n = np.empty(ly.shape) if dense and m > b else None
+        for i in range(0, m, b):
+            k = min(i + b, m)
+            w = ly[:, i:k, :k] / dy[:, None, :k]
+            if dense:
                 a = lx[:, i:k, :k] / dx[:, None, :k]
-                w = nt if k - i == m else np.empty((t, k, k - i))  # C-ordered: dtrsm writes w.T
-                np.divide(ly[:, i:k, :k].swapaxes(1, 2), dy[:, :k, None], out=w)
-                for r in range(0, i, b):  # nt is upper: tile r is zero left of column r
-                    w[:, r:r + b] -= nt[:, r:r + b, r:i] @ a[:, :, r:i].swapaxes(1, 2)
-                if i == 0:
-                    dtrsm = _extension("_fblas").dtrsm
-                    for a_s, w_s in zip(a.swapaxes(1, 2), w.swapaxes(1, 2)):
-                        dtrsm(1.0, a_s, w_s, 0, 0, 1, 1, 1)
-                else:
-                    w[:, i:] -= a[:, :, i:].swapaxes(1, 2)  # N - I on the diagonal block
-                    inv = a[:, :, i:].copy()  # C-ordered, so dtrtri inverts each .T in place
-                    dtrtri = _extension("_flapack").dtrtri
-                    for inv_s in inv.swapaxes(1, 2):
-                        _, info = dtrtri(inv_s, 0, 1, 1)
-                        if info != 0:  # < 0: an illegal argument; a unit diagonal has no 0 pivot
-                            raise np.linalg.LinAlgError(f"triangular inverse: dtrtri info {info}")
-                    w = w @ inv.swapaxes(1, 2)
-                    np.einsum("tii->ti", w[:, i:])[...] = 1.0  # N = I + (N - I)
-                if w is not nt:
-                    nt[:, :k, i:k] = w
-        nt *= dy[:, :, None]  # finite scalings keep a zero entry zero (no 0 * inf)
-        nt /= dx[:, None, :]
+                for r in range(0, i, b):  # N is lower: tile r is zero above row r
+                    w[:, :, r:r + b] -= a[:, :, r:i] @ n[:, r:i, r:r + b]
+                dtrsm = _extension("_fblas").dtrsm
+                for a_s, w_s in zip(a[:, :, i:].swapaxes(1, 2), w.swapaxes(1, 2)):
+                    dtrsm(1.0, a_s, w_s, 1, 0, 0, 1, 1)
+                if k < m:
+                    n[:, i:k, :k] = w
+            w *= dy[:, None, :k]  # finite scalings keep a zero entry zero (no 0 * inf)
+            w /= dx[:, i:k, None]
+            off = w.reshape(t, -1)
+            off[:, i::k + 1] = 0.0  # the strict lower part of M's rows i:k
+            squares = squares + (off[:, None, :] @ off[:, :, None])[:, 0, 0]
         u = (dy - dx) / dx * (dy / dx + 1.0)
-        off = nt.reshape(t, -1)  # each row is M in column-major order
-        off[:, ::m + 1] = 0.0  # the strict lower part of M
-        squares = (off[:, None, :] @ off[:, :, None])[:, 0, 0]  # one BLAS dot per slice
     return 0.5 * (squares + _excess(u, 2.0 * (np.log(dy) - np.log(dx))).sum(axis=-1))
 
 
@@ -157,13 +141,13 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
     lower part of M comes from N = a^-1 b for the column-normalized factors
     a = Lx / dx, b = Ly / dy, whose unit diagonals are never divided by: sx == sy
     gives +0.0.  N is formed 64 rows at a time: a GEMM over the nonzero tiles of
-    the rows above (about m^3/3 flops), then the 64 x 64 diagonal block, by one
-    unit-diagonal triangular solve in the first block (one solve for m <= 64)
-    and, in each later block, by that block's inverse (LAPACK dtrtri) applied as
-    a GEMM of 2 * 64^2 flops per row.  At m = 512 that is 44 MFLOP of tiles,
-    18 MFLOP of inverse products and 0.6 MFLOP of inversion.  A diagonal sx
-    makes a the identity, so N = b with no solve (the solve's bits wherever b
-    is finite).  An overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
+    the rows above (about m^3/3 flops), then one unit-diagonal BLAS triangular
+    solve against the 64 x 64 diagonal block (64^2 flops per column of the
+    block's rows); no inverse is formed.  At m = 512 that is 44 MFLOP of tiles
+    and 9.4 MFLOP of solves.  Each block is scaled to M and its squares summed
+    while in cache.  A diagonal sx makes a the identity, so N = b with no solve
+    (the solve's bits wherever b is finite).  An overflowing pivot ratio
+    dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")

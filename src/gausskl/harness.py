@@ -177,11 +177,20 @@ def _block_dims(block_dims: Sequence[int]) -> list[int]:
     return dims
 
 
+def _check_counts(trials: int, dim: int) -> None:
+    # A campaign's trial count and dimension are integers (a bool is not one), checked before
+    # any draw; dim < 1 is left to the draws.
+    for name, value in (("trials", trials), ("dim", dim)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: str, dim: int,
               chunk: Callable[[np.ndarray], Sequence[Sequence[float]]]) -> PropertyReport:
     """Run ``chunk`` on the per-trial seeds and fold its rows of slacks into a report."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_counts(trials, dim)
     step = max(1, _CHUNK_ELEMENTS // max(dim, 1) ** 2)  # dim < 1 is left to the draws
     violations = 0
     worst = math.inf
@@ -193,7 +202,7 @@ def _campaign(prop: str, trials: int, master_seed: int, tol: float, settings: st
         if kept.size:
             worst = min(worst, float(kept[kept.argmin()]))  # replaced only when strictly lower
     digest = f"prop={prop} {settings} master_seed={master_seed} scheme=splitmix64"
-    return PropertyReport(prop, trials, violations, worst, digest)
+    return PropertyReport(prop, int(trials), violations, worst, digest)
 
 
 def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: int,
@@ -206,9 +215,9 @@ def _mc_campaign(prop: str, trials: int, dim: int, master_seed: int, n_samples: 
     started at its first pair and joined when the call returns or raises; a
     lone call runs inline.
     """
-    # The 4-standard-error band is folded into each slack, so the tolerance
-    # is 0.  A bad ``trials`` is left to _campaign, which reports it first.
-    if trials >= 1 and n_samples < 10_000:
+    # The 4-standard-error band is folded into each slack, so the tolerance is 0.
+    _check_counts(trials, dim)  # reported before n_samples, as _campaign would
+    if n_samples < 10_000:
         raise ValueError(f"n_samples must be >= 10000, got {n_samples}")
     settings = (f"trials={trials} dim={dim} n_samples={n_samples} family=matched-mixture "
                 f"w=[0.2,0.8] spread=[0.1,0.9] band={MC_BAND_STDERRS:g}se")

@@ -5,16 +5,13 @@ raw arrays and get certified by :func:`validate_spd`, which keeps the Cholesky
 factor it computes (a diagonal matrix's factor is its square roots, taken
 without factoring): every consumer reads that one factor.  The package's own
 draws are exactly symmetric and finite, so they are only factored.  An inverse
-is applied through triangular routines on the factor: :func:`solve_triangular`
-calls BLAS ``dtrsv`` for one column and ``dtrsm`` for several, as OpenBLAS's
-LAPACK solve does, so the bits are scipy's but a small solve runs on the
-calling thread, not OpenBLAS's pool; LAPACK ``dtrtri`` inverts the 64 x 64
-unit-diagonal blocks of ``divergence._kl`` past its first (a normwise error
-bound, where a solve has a componentwise one: Du Croz & Higham, IMA J. Numer.
-Anal. 1992).  No full matrix is inverted.  The routines come from scipy's
-extension files, each executed once, at first use: ``_fblas`` at the first
-solve, ``_flapack`` at the first inverse (m >= 65).  Their OpenBLAS reads
-``OPENBLAS_*`` then, not at import, and scipy's package is never imported.
+is applied through BLAS triangular solves on the factor, never formed:
+:func:`solve_triangular` calls ``dtrsv`` for one column and ``dtrsm`` for
+several, as OpenBLAS's LAPACK solve does, so the bits are scipy's but a small
+solve runs on the calling thread, not OpenBLAS's pool; ``divergence._kl``
+calls ``dtrsm`` once per 64-row block.  The routines come from scipy's
+``_fblas`` extension file, executed once, at the first solve: its OpenBLAS
+reads ``OPENBLAS_*`` then, not at import, and scipy's package is never imported.
 The kernels take (T, m, m) stacks, so a campaign factors a chunk of trials
 per LAPACK call; the public functions are stacks of one.
 """
@@ -48,7 +45,7 @@ MAX_DIM = 512
 
 
 def _extension_spec(name: str):
-    # scipy.linalg's f2py BLAS (_fblas) or LAPACK (_flapack) file, found without running scipy's
+    # scipy.linalg's f2py BLAS file (_fblas), found without running scipy's
     # __init__; its private module name ends in `name`, as its init symbol is PyInit_<name>.
     spec = importlib.util.find_spec("scipy")
     base = os.path.join(spec.submodule_search_locations[0] if spec else "", "linalg", name)
@@ -59,7 +56,7 @@ def _extension_spec(name: str):
                       f"{importlib.machinery.EXTENSION_SUFFIXES}")
 
 
-_EXTENSION_SPECS = {name: _extension_spec(name) for name in ("_fblas", "_flapack")}
+_EXTENSION_SPECS = {"_fblas": _extension_spec("_fblas")}
 _extensions: dict = {}
 _extension_lock = threading.Lock()  # c1's two threads reach their first solve together
 
@@ -280,12 +277,13 @@ def random_spd(dim: int, seed: int, condition_target: float) -> SpdMatrix:
 def read_matrix_csv(path) -> np.ndarray:
     """Parse a headerless CSV matrix file into a raw (unvalidated) array.
 
-    One row per line, comma-separated decimal entries; whitespace-only lines are ignored.
+    One row per line, comma-separated decimal entries; whitespace-only lines and a leading
+    UTF-8 byte-order mark are ignored.
     More than ``MAX_DIM`` rows, or a first row of more than ``MAX_DIM`` fields, raise
     ValueError before numpy's ``loadtxt`` parses any.  Empty, ragged or non-numeric input
     (underscore numerals included) raises MatrixParseError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         rows = [line for line in fh if line.strip()]
     if not rows:
         raise MatrixParseError(f"{path}: no numeric rows found")

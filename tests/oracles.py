@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import block_diag, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.blas import dtrsm
 
 from gausskl import (DiagSpectrum, GaussianModel, build_matched_mixture, derive_seed,
                      diagonal_lower_bound, kl_diagonal, kl_gaussian, mc_kl, random_diag_spectrum,
@@ -171,74 +171,50 @@ def kl_factors_reference(lx, ly) -> float:
     """KL(y || x) from Cholesky factors by the row-block formula, every block solved.
 
     N = a^-1 b for the column-normalized factors a = Lx / dx and b = Ly / dy,
-    64 rows at a time: rows i:i+64 of b less numpy matmuls of a's rows with
-    N's nonzero 64-column tiles above (N is zero above its diagonal), then
-    scipy ``solve_triangular`` against a[i:i+64, i:i+64].  M = Lx^-1 Ly is N
-    scaled by dy / dx (see ``relative_factor_kl``).  The kernel reproduces it
-    bit for bit at m <= 64, where it is one solve; beyond, the kernel applies
-    inverses (``kl_factors_inverse_reference``) and this is the all-solve
-    reference for its accuracy.  BLAS's bits depend on its operands' layouts
-    at partial tiles, so each product is taken as the kernel takes it, as
-    (C-ordered N tile transposed) @ a-rows transposed.
+    64 rows at a time: W, rows i:k of b less numpy matmuls of a's rows with N's
+    nonzero 64-column tiles above (N is zero above its diagonal), then
+    N[i:k, :k] = a[i:k, i:k]^-1 W by scipy's BLAS ``dtrsm`` on W's transpose
+    (side right, upper, no transpose, unit diagonal).  Each block is scaled to
+    M = Lx^-1 Ly (by dy, then by dx) and its strict lower part's squares added,
+    one dot product per block in row-major order.  A stacked kernel must
+    reproduce it bit for bit.  BLAS's bits depend on its operands' layouts at
+    partial tiles, so every operand has the kernel's shape and strides.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
-    a, n = lx / dx, ly / dy
-    for i in range(0, len(a), 64):
-        k = i + 64
-        for r in range(0, i, 64):
-            n[i:k, r:r + 64] -= (np.ascontiguousarray(n[r:i, r:r + 64].T) @ a[i:k, r:i].T).T
-        n[i:k, :k] = solve_triangular(a[i:k, i:k], n[i:k, :k], lower=True,
-                                      unit_diagonal=True, check_finite=False)
-    return relative_factor_kl(n, dx, dy)
-
-
-def kl_factors_inverse_reference(lx, ly) -> float:
-    """KL(y || x) as ``kl_factors_reference``, each diagonal block after the first inverted.
-
-    Row block i:k, i >= 64: W is the rows i:k of b less the tiles above, with
-    a[i:k, i:k] subtracted from its diagonal block so that the product gives
-    N - I there (exactly 0 where a == b).  N[i:k, :k] = a[i:k, i:k]^-1 W by
-    LAPACK ``dtrtri``'s inverse of a[i:k, i:k].T, applied as (C-ordered W.T) @
-    that inverse, then N's unit diagonal is written back.  A stacked kernel
-    must reproduce it bit for bit.
-    """
-    dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
-    a, n = lx / dx, ly / dy
-    n[:64, :64] = solve_triangular(a[:64, :64], n[:64, :64], lower=True,
-                                   unit_diagonal=True, check_finite=False)
-    for i in range(64, len(a), 64):
-        k = i + 64
-        for r in range(0, i, 64):
-            n[i:k, r:r + 64] -= (np.ascontiguousarray(n[r:i, r:r + 64].T) @ a[i:k, r:i].T).T
-        n[i:k, i:k] -= a[i:k, i:k]
-        inv_t, info = dtrtri(a[i:k, i:k].T, lower=0, unitdiag=1)
-        assert info == 0
-        n[i:k, :k] = (np.ascontiguousarray(n[i:k, :k].T) @ inv_t).T
-        np.fill_diagonal(n[i:k, i:k], 1.0)
-    return relative_factor_kl(n, dx, dy)
+    m = len(lx)
+    n, squares = np.empty((m, m)), 0.0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(0, m, 64):
+            k = min(i + 64, m)
+            a, w = lx[i:k, :k] / dx[:k], ly[i:k, :k] / dy[:k]
+            for r in range(0, i, 64):
+                w[:, r:r + 64] -= a[:, r:i] @ n[r:i, r:r + 64]
+            w = dtrsm(1.0, a[:, i:].T, w.T, side=1, lower=0, trans_a=0, diag=1).T
+            n[i:k, :k] = w
+            w *= dy[:k]
+            w /= dx[i:k, None]
+            w[:, i:][np.diag_indices(k - i)] = 0.0
+            off = w.ravel()
+            squares += float(off @ off)
+        u = (dy - dx) / dx * (dy / dx + 1.0)
+        terms = excess_terms(u, 2.0 * (np.log(dy) - np.log(dx)))
+    return 0.5 * (squares + float(terms.sum()))
 
 
 def kl_factors_column_reference(lx, ly) -> float:
-    """KL(y || x) as ``kl_factors_reference``, with N solved by column blocks.
+    """KL(y || x) from the same N = a^-1 b, solved by column blocks: the all-solve formula.
 
-    Block j:j+64 of N's columns by scipy ``solve_triangular`` against
-    a[j:, j:] on rows j:, so every flop is in the solve.  For m <= 64 both
-    formulas make the same single solve; beyond, they sum in different orders.
+    Block j:j+64 of N's columns by scipy ``solve_triangular`` (a left-side
+    solve) against a[j:, j:] on rows j:, so every flop is in the solve.  M = N *
+    dy / dx (rows by dx), its strict lower part's squares summed by one dot
+    product in column-major order, and the diagonal excess terms by ``np.sum``.
+    It shares no solve and no summation order with ``kl_factors_reference``.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
     a, n = lx / dx, ly / dy
     for j in range(0, len(a), 64):
         n[j:, j:j + 64] = solve_triangular(a[j:, j:], n[j:, j:j + 64], lower=True,
                                            unit_diagonal=True, check_finite=False)
-    return relative_factor_kl(n, dx, dy)
-
-
-def relative_factor_kl(n, dx, dy) -> float:
-    """KL(y || x) from N = a^-1 b and the factor diagonals; overwrites n.
-
-    M = N * dy / dx (rows by dx), its strict lower part's squares summed by one
-    dot product in column-major order, and the diagonal excess terms by ``np.sum``.
-    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         n *= dy
         n /= dx[:, None]

@@ -88,6 +88,27 @@ class TestKlCommand:
             assert code == 0
             assert set(json.loads(out)["results"]) == keys
 
+    @pytest.mark.parametrize("x_diagonal", [False, True])
+    def test_utf8_bom_files_give_the_same_report(self, tmp_path, capsys, x_diagonal):
+        # Spreadsheets save "CSV UTF-8" with a byte-order mark (EF BB BF), here with
+        # CRLF line ends too: the report is the BOM-free files' report.
+        x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_csv(x, [[2.0, 0.0], [0.0, 0.5]] if x_diagonal else [[2.0, 0.3], [0.3, 0.5]])
+        write_csv(y, [[1.0, -0.25], [-0.25, 3.0]])
+        bom = {}
+        for path in (x, y):
+            bom[path] = tmp_path / f"bom_{path.name}"
+            with open(bom[path], "w", encoding="utf-8", newline="") as fh:
+                fh.write("\ufeff" + path.read_text().replace("\n", "\r\n"))
+            assert bom[path].read_bytes()[:3] == b"\xef\xbb\xbf"
+        reports = []
+        for files in ((x, y), (bom[x], bom[y])):
+            code, out, err = run(capsys, "kl", "--x", str(files[0]), "--y", str(files[1]))
+            assert (code, err) == (0, "")
+            reports.append(out.replace(str(files[0]), "X").replace(str(files[1]), "Y"))
+        assert reports[1] == reports[0]
+        assert ("bound_nats" in json.loads(reports[0])["results"]) == x_diagonal
+
     def test_text_and_json_report_identical_numbers(self, tmp_path, capsys):
         x = tmp_path / "x.csv"
         y = tmp_path / "y.csv"

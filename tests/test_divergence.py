@@ -26,9 +26,9 @@ from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
 from gausskl.linalg import _factor, _random_symmetric
 
 from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_determinant_route, kl_factors_column_reference,
-                     kl_factors_inverse_reference, kl_factors_reference, kl_mpmath,
-                     kl_scalar_quad, log_uniform_spectrum, total_correlation, weakly_correlated)
+                     kl_determinant_route, kl_factors_column_reference, kl_factors_reference,
+                     kl_mpmath, kl_scalar_quad, log_uniform_spectrum, total_correlation,
+                     weakly_correlated)
 
 
 def spectrum(*variances):
@@ -141,6 +141,20 @@ class TestKlGaussian:
                          validate_spd(2.0 ** -300 * a.entries)):
                 kl = kl_gaussian(copy, copy)
                 assert kl == 0.0 and math.copysign(1.0, kl) == 1.0
+
+    @pytest.mark.parametrize("m", [*range(1, 9), 63, 64, 65, 127, 128, 129, 512])
+    def test_self_divergence_is_plus_zero_as_a_stack(self, m):
+        # KL(S, S) is exactly +0.0 in every slice, either side of each 64-row block
+        # boundary: dense factors at cond 1e2..1e10 and scales 2**+-300, then diagonal ones.
+        scales = (1.0, 2.0 ** 300, 2.0 ** -300)
+        dense = [validate_spd(scale * random_spd(m, derive_seed(m, 40 + i), cond).entries)
+                 for i, cond in enumerate((1e2, 1e6, 1e10)) for scale in scales]
+        diagonal = [random_diag_spectrum(m, derive_seed(m, 50 + i)).as_matrix() for i in range(3)]
+        for stack in (dense, diagonal):
+            lower = np.stack([s.lower for s in stack])
+            values = divergence._kl(lower, lower)
+            assert values.tolist() == [0.0] * len(stack)
+            assert np.all(np.copysign(1.0, values) == 1.0)
 
     def test_worked_example_against_determinant_arithmetic(self):
         sx = validate_spd(np.eye(2))
@@ -395,8 +409,8 @@ class TestKlGapDiagonal:
 class TestStackedKernels:
     # The (T, m, m) kernels behind kl_gaussian and diagonal_lower_bound give
     # every slice the bits of the single-matrix call and of the single-matrix
-    # reference formula (tests/oracles.py), which sums M's squares in
-    # column-major order and the diagonal terms left to right.
+    # reference formula (tests/oracles.py), which sums M's squares block by
+    # block in row-major order and the diagonal terms left to right.
     @pytest.mark.parametrize("m,t", [(m, 12) for m in range(1, 9)]
                              + [(64, 3), (65, 2), (65, 3), (128, 2), (129, 2), (130, 2),
                                 (130, 3), (200, 2), (512, 2)])
@@ -409,7 +423,7 @@ class TestStackedKernels:
                                      np.stack([b.lower for b in sy]))
             assert [v.hex() for v in stacked.tolist()] == [
                 kl_gaussian(a, b).hex() for a, b in zip(ref, sy)] == [
-                kl_factors_inverse_reference(a.lower, b.lower).hex() for a, b in zip(ref, sy)]
+                kl_factors_reference(a.lower, b.lower).hex() for a, b in zip(ref, sy)]
         sums = divergence._diagonal_sum(np.stack([d.variances for d in lx]),
                                         np.stack([np.diag(b.entries) for b in sy]))
         assert [v.hex() for v in sums.tolist()] == [
@@ -418,10 +432,10 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("m", [*range(1, 65), 65, 71, 128, 130, 193, 200, 256, 449, 512])
     def test_row_and_column_references_agree(self, m):
-        # The row-block reference against the column-block one: one and the same
-        # solve for m <= 64; past that they sum in different orders, within 4 ulp
-        # (at most 3 ulp over m = 65..512 in steps of 3, cond 1e2..1e6, 2 pairs).
-        bound = 0 if m <= 64 else 4
+        # The row-block reference against the column-block one: a right-side and a
+        # left-side solve, summed in different orders, within 4 ulp here (at most 8
+        # over m = 1..64 and 65..512 in steps of 16, cond 1e2..1e6, 2 pairs each).
+        bound = 4
         for i in range(2):
             sy = random_spd(m, derive_seed(m, 80 + i), 1e4)
             for sx in (random_spd(m, derive_seed(m, 90 + i), 1e4),
@@ -476,29 +490,30 @@ class TestStackedKernels:
                                            for vx, vy in dims]
 
 
-class TestInvertedDiagonalBlocks:
-    # Past m = 64, _kl applies each later 64 x 64 diagonal block's inverse as a
-    # product (oracles.kl_factors_inverse_reference).  An inverse has a normwise,
-    # not a componentwise, error bound (Du Croz & Higham, IMA J. Numer. Anal. 1992),
-    # so the result is held to the all-solve formula and to mpmath.
+class TestBlockSolveAccuracy:
+    # _kl solves each 64-row block against its diagonal block from the right and
+    # sums M block by block; the result is held to the column-block all-solve
+    # formula (oracles.kl_factors_column_reference), which solves from the left
+    # and sums in column-major order, and to mpmath.
 
     @pytest.mark.parametrize("m", [65, 128, 129, 256, 512])
     def test_within_bound_of_the_all_solve_formula(self, m):
-        # Measured at most 2.3 eps relative over m = 65..512, cond 1e2..1e10, 4 pairs each.
+        # Measured at most 5.0 eps relative over m = 65..512 in steps of 29, cond 1e2..1e10,
+        # 4 pairs each.
         for cond in (1e2, 1e6, 1e10):
             for p in range(2):
                 sx = random_spd(m, derive_seed(m, 700 + p), cond)
                 sy = random_spd(m, derive_seed(m, 800 + p), cond)
-                kl, solved = kl_gaussian(sx, sy), kl_factors_reference(sx.lower, sy.lower)
+                kl, solved = kl_gaussian(sx, sy), kl_factors_column_reference(sx.lower, sy.lower)
                 assert abs(kl - solved) <= 16 * np.finfo(float).eps * solved, (cond, p)
 
     @pytest.mark.parametrize("m,cond", [(65, 1e2), (65, 1e6), (65, 1e10), (96, 1e6), (96, 1e10)])
     def test_mpmath_error_as_the_all_solve_formula(self, m, cond):
-        # Relative errors 0, 9.1e-13 and 1.7e-8 at m = 65 (the same bits as the
-        # all-solve formula), 1.2e-12 and 6.4e-9 at m = 96 (2 and 0 ulp off it).
+        # Relative errors 1.3e-16, 9.1e-13 and 1.7e-8 at m = 65 (1, 1 and 0 ulp off the
+        # all-solve formula), 1.2e-12 and 6.4e-9 at m = 96 (2 and 4 ulp off it).
         sx, sy = (random_spd(m, derive_seed(m, 500 + i), cond) for i in (0, 1))
         true = kl_mpmath(sx.entries, sy.entries, 40)
-        kl, solved = kl_gaussian(sx, sy), kl_factors_reference(sx.lower, sy.lower)
+        kl, solved = kl_gaussian(sx, sy), kl_factors_column_reference(sx.lower, sy.lower)
         assert abs(kl - true) <= abs(solved - true) + 4 * np.spacing(true)
 
     @pytest.mark.parametrize("m", [65, 130])
@@ -515,7 +530,7 @@ class TestInvertedDiagonalBlocks:
             values = divergence._kl(np.stack([a for a, _ in pairs]),
                                     np.stack([b for _, b in pairs]))
         with np.errstate(over="ignore"):
-            solved = [kl_factors_reference(a, b) for a, b in pairs]
+            solved = [kl_factors_column_reference(a, b) for a, b in pairs]
         assert not np.any(np.isnan(values))
         assert [math.isinf(v) for v in values] == [math.isinf(v) for v in solved] == [
             True, True, False, False, False]
@@ -531,18 +546,11 @@ class TestDiagonalReference:
         return random_diag_spectrum(m, derive_seed(m, seed)).as_matrix().lower
 
     @staticmethod
-    def reference(lx, ly):
-        return (kl_factors_reference if len(lx) <= 64 else kl_factors_inverse_reference)(lx, ly)
-
-    @staticmethod
     def recording(monkeypatch):
-        # _kl reads each routine off its extension module once per call.
-        calls = {"dtrsm": [], "dtrtri": []}
-        for module, name in (("_fblas", "dtrsm"), ("_flapack", "dtrtri")):
-            module, log = linalg._extension(module), calls[name]
-            routine = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, log=log, routine=routine: log.append(1) or routine(*a))
+        # _kl reads dtrsm off the BLAS extension module once per row block.
+        calls, blas = [], linalg._extension("_fblas")
+        monkeypatch.setattr(blas, "dtrsm",
+                            lambda *a, dtrsm=blas.dtrsm: calls.append(1) or dtrsm(*a))
         return calls
 
     @pytest.mark.parametrize("m", [*range(1, 9), 64, 65, 130])
@@ -554,15 +562,15 @@ class TestDiagonalReference:
               random_spd(m, derive_seed(m, 311), 1e10).lower, lx[2], self.diagonal(m, 312)]
         values = divergence._kl(np.stack(lx), np.stack(ly))
         assert [v.hex() for v in values.tolist()] == [
-            self.reference(a, b).hex() for a, b in zip(lx, ly)]
+            kl_factors_reference(a, b).hex() for a, b in zip(lx, ly)]
         assert values[2] == 0.0 and math.copysign(1.0, values[2]) == 1.0
-        assert calls == {"dtrsm": [], "dtrtri": []}
+        assert calls == []
 
     @pytest.mark.parametrize("m", [4, 64, 130])
     @pytest.mark.parametrize("dense", [0, 1, 2])
     def test_one_off_diagonal_nonzero_solves_every_slice(self, monkeypatch, m, dense):
-        # A single off-diagonal nonzero in one slice of three: one solve per slice, one
-        # inversion per slice and later block, and every slice keeps its reference's bits.
+        # A single off-diagonal nonzero in one slice of three: one solve per slice and
+        # row block, and every slice keeps its reference's bits.
         calls = self.recording(monkeypatch)
         lx = [self.diagonal(m, 320 + i) for i in range(3)]
         lx[dense] = lx[dense].copy()
@@ -570,8 +578,8 @@ class TestDiagonalReference:
         ly = [random_spd(m, derive_seed(m, 330 + i), 1e4).lower for i in range(3)]
         values = divergence._kl(np.stack(lx), np.stack(ly))
         assert [v.hex() for v in values.tolist()] == [
-            self.reference(a, b).hex() for a, b in zip(lx, ly)]
-        assert (len(calls["dtrsm"]), len(calls["dtrtri"])) == (3, 3 * (-(-m // 64) - 1))
+            kl_factors_reference(a, b).hex() for a, b in zip(lx, ly)]
+        assert len(calls) == 3 * -(-m // 64)
 
     def test_overflowing_column_ratio_is_never_nan(self):
         # A subnormal first pivot under a row of variance 2**1000: b = Ly / dy overflows in

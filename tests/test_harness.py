@@ -258,6 +258,45 @@ class TestCheckC1:
         assert a == b
 
 
+CAMPAIGNS = {"p3": lambda trials, dim: check_prop3(trials, dim, 1, 100.0),
+             "p2": lambda trials, dim: check_prop2([dim, dim], trials, 1),
+             "p1": lambda trials, dim: check_prop1(trials, dim, 1, 10_000),
+             "c1": lambda trials, dim: check_c1(trials, dim, 1, 10_000)}
+
+
+class TestCountArguments:
+    # A bool is not a trial count or a dimension, and neither is a float or a string:
+    # each is refused with ValueError before anything is drawn (p2's block dims are
+    # _block_dims' to check).  A numpy integer is a count.
+    @staticmethod
+    def no_draws(monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("drawn before the arguments were checked")
+
+        for name in ("_generators", "_random_scaled_spd", "random_diag_spectrum"):
+            monkeypatch.setattr(harness, name, never)
+
+    @pytest.mark.parametrize("prop", list(CAMPAIGNS))
+    @pytest.mark.parametrize("trials", [True, np.True_, 3.0, "3"])
+    def test_trials_must_be_an_integer(self, monkeypatch, prop, trials):
+        self.no_draws(monkeypatch)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            CAMPAIGNS[prop](trials, 2)
+
+    @pytest.mark.parametrize("prop", ["p3", "p1", "c1"])
+    @pytest.mark.parametrize("dim", [True, np.True_, 2.0])
+    def test_dim_must_be_an_integer(self, monkeypatch, prop, dim):
+        self.no_draws(monkeypatch)
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            CAMPAIGNS[prop](3, dim)
+
+    @pytest.mark.parametrize("prop", list(CAMPAIGNS))
+    def test_numpy_integers_are_counts(self, prop):
+        report = CAMPAIGNS[prop](np.int64(2), np.int32(2))
+        assert report == CAMPAIGNS[prop](2, 2)
+        assert json.loads(report.to_json())["trials"] == 2
+
+
 class TestViolationCounting:
     def test_shifted_bound_violates_every_p3_trial(self, monkeypatch):
         # Raising the bound by 1e-9 pushes every equality-case slack to about

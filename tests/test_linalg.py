@@ -153,29 +153,22 @@ class TestFactoredOnce:
         check_prop2(dims, trials, 1)
         assert sum(calls) == trials * (2 * len(dims) + 1)
 
-    def test_one_triangular_solve_per_divergence(self, monkeypatch):
-        # One solve, for M's first 64-row block, one 64 x 64 inversion per later
-        # block, ceil(m / 64) - 1, and no factorization; against a diagonal
-        # reference, no solve and no inversion either.
+    def test_one_triangular_solve_per_row_block(self, monkeypatch):
+        # One solve per 64-row block of M, ceil(m / 64), no inverse and no
+        # factorization; against a diagonal reference, no solve either (the
+        # package loads no LAPACK file: see test_estimators' import test).
         pairs = [(m, sx, random_spd(m, 9, 100.0)) for m in (4, 64, 65, 130)
                  for sx in (random_spd(m, 8, 100.0), random_diag_spectrum(m, 8).as_matrix())]
-        calls = {"dtrsm": [], "dtrtri": []}
-
-        def recording(log, routine):
-            return lambda *a, **k: log.append(1) or routine(*a, **k)
-
-        for module, name in (("_fblas", "dtrsm"), ("_flapack", "dtrtri")):
-            module = linalg._extension(module)
-            monkeypatch.setattr(module, name, recording(calls[name], getattr(module, name)))
+        solves, blas = [], linalg._extension("_fblas")
+        monkeypatch.setattr(blas, "dtrsm",
+                            lambda *a, dtrsm=blas.dtrsm: solves.append(1) or dtrsm(*a))
         chols, chol = [], np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: chols.append(1) or chol(a))
         for m, sx, sy in pairs:
-            for log in calls.values():
-                log.clear()
+            solves.clear()
             kl_gaussian(sx, sy)
-            counts = len(calls["dtrsm"]), len(calls["dtrtri"]), len(chols)
             diagonal = np.count_nonzero(sx.lower) == m
-            assert counts == ((0, 0, 0) if diagonal else (1, -(-m // 64) - 1, 0))
+            assert (len(solves), len(chols)) == ((0, 0) if diagonal else (-(-m // 64), 0))
 
     def test_monte_carlo_estimate_solves_once_and_forms_no_points(self, monkeypatch):
         # One d x d solve whitens px against py; no sample matrix, no (d, n) solve.
@@ -247,12 +240,10 @@ class TestLapack:
         assert proc.returncode == 0, proc.stderr
 
     def test_positional_signatures_the_kernel_relies_on(self):
-        # divergence._kl passes dtrsm's and dtrtri's flags by position; scipy's f2py
-        # docstrings name the order (any scipy >= 1.10 is allowed).
-        routines = linalg._extension("_fblas").dtrsm, linalg._extension("_flapack").dtrtri
-        signatures = [f.__doc__.splitlines()[0].split(" = ")[1] for f in routines]
-        assert signatures == ["dtrsm(alpha,a,b,[side,lower,trans_a,diag,overwrite_b])",
-                              "dtrtri(c,[lower,unitdiag,overwrite_c])"]
+        # divergence._kl passes dtrsm's flags by position; scipy's f2py docstring
+        # names the order (any scipy >= 1.10 is allowed).
+        signature = linalg._extension("_fblas").dtrsm.__doc__.splitlines()[0].split(" = ")[1]
+        assert signature == "dtrsm(alpha,a,b,[side,lower,trans_a,diag,overwrite_b])"
 
     def test_zero_pivot_raises(self):
         # dtrtrs's rule, for one column and several: an exact zero pivot (-0.0 too) is

@@ -35,7 +35,7 @@ Nats = float
 
 LN_2PI = math.log(2.0 * math.pi)
 
-_SOLVE_BLOCK = 64  # rows of N per block in _kl
+_SOLVE_BLOCK = 64  # rows of M per block in _kl
 
 
 @dataclass(frozen=True)
@@ -69,38 +69,36 @@ def _kl(lx: np.ndarray, ly: np.ndarray) -> np.ndarray:
     # kl_gaussian over (T, m, m) stacks of factors, one value per slice.
     (t, m, _), b = lx.shape, _SOLVE_BLOCK
     dx, dy = np.diagonal(lx, axis1=1, axis2=2).copy(), np.diagonal(ly, axis1=1, axis2=2).copy()
-    # N = a^-1 b for the column-normalized a = Lx / dx, b = Ly / dy, and M[r, c] =
-    # N[r, c] * dy[c] / dx[r], 64 rows at a time.  Row block i:k takes w = b[i:k, :k] less
-    # a[i:k, :i] N[:i, :k], one matmul per nonzero 64-column tile of N (about m^3/3 flops),
-    # then solves a[i:k, i:k] N[i:k, :k] = w in place by one unit-diagonal BLAS dtrsm per
-    # slice.  It runs on w's F-ordered view, as N[i:k, :k].T a[i:k, i:k].T = w.T, with
-    # positional arguments (side=1, lower=0, trans_a=0, diag=1, overwrite_b=1): 50 keyword
-    # calls took 73 us at m = 4, these 32 us.  N is kept while a later block reads it; the
-    # block is then scaled to M in cache and its strict lower part's squares summed, one
-    # BLAS dot per slice and block.
+    # M = a^-1 b for the row-normalized a = Lx / dx and b = Ly / dx (both rows divided by dx),
+    # 64 rows at a time.  Row block i:k takes w = b[i:k, :k] less a[i:k, :i] M[:i, :k], one
+    # matmul per nonzero 64-column tile of M (about m^3/3 flops), then solves a[i:k, i:k]
+    # M[i:k, :k] = w in place by one unit-diagonal BLAS dtrsm per slice.  It runs on w's
+    # F-ordered view, as M[i:k, :k].T a[i:k, i:k].T = w.T, with positional arguments (side=1,
+    # lower=0, trans_a=0, diag=1, overwrite_b=1): 50 keyword calls took 73 us at m = 4, these
+    # 32 us.  M is kept while a later block reads it, and its strict lower part's squares are
+    # summed in cache, one BLAS dot per slice and block.  The intermediates are a, b and
+    # partial sums of M's entries, so one overflows only where M does.
     squares = 0.0
     with np.errstate(over="ignore"):  # an overflowing ratio gives the intended +inf
         # Every lx slice diagonal (its pivots are > 0)?  A nonzero subdiagonal, an O(m) read,
         # spares a dense stack the full count (0.26 ms at m = 512, 5-9% of the kernel).
-        # Then a is the identity and N = b: a solve against it subtracts only 0 * N terms
+        # Then a is the identity and M = b: a solve against it subtracts only 0 * M terms
         # from b, so this is its bits wherever b is finite; where b overflows, the solve's
         # 0 * inf gives NaN and this +inf.
         dense = np.count_nonzero(np.diagonal(lx, -1, 1, 2)) or np.count_nonzero(lx) != t * m
-        n = np.empty(ly.shape) if dense and m > b else None
+        mat = np.empty(ly.shape) if dense and m > b else None
         for i in range(0, m, b):
             k = min(i + b, m)
-            w = ly[:, i:k, :k] / dy[:, None, :k]
+            w = ly[:, i:k, :k] / dx[:, i:k, None]
             if dense:
-                a = lx[:, i:k, :k] / dx[:, None, :k]
-                for r in range(0, i, b):  # N is lower: tile r is zero above row r
-                    w[:, :, r:r + b] -= a[:, :, r:i] @ n[:, r:i, r:r + b]
+                a = lx[:, i:k, :k] / dx[:, i:k, None]
+                for r in range(0, i, b):  # M is lower: tile r is zero above row r
+                    w[:, :, r:r + b] -= a[:, :, r:i] @ mat[:, r:i, r:r + b]
                 dtrsm = _extension("_fblas").dtrsm
                 for a_s, w_s in zip(a[:, :, i:].swapaxes(1, 2), w.swapaxes(1, 2)):
                     dtrsm(1.0, a_s, w_s, 1, 0, 0, 1, 1)
                 if k < m:
-                    n[:, i:k, :k] = w
-            w *= dy[:, None, :k]  # finite scalings keep a zero entry zero (no 0 * inf)
-            w /= dx[:, i:k, None]
+                    mat[:, i:k, :k] = w
             off = w.reshape(t, -1)
             off[:, i::k + 1] = 0.0  # the strict lower part of M's rows i:k
             squares = squares + (off[:, None, :] @ off[:, :, None])[:, 0, 0]
@@ -137,17 +135,17 @@ def kl_gaussian(sx: SpdMatrix, sy: SpdMatrix) -> Nats:
         KL = 0.5 * [ sum_{i>j} M_ij^2 + sum_i (u_i - ln(1 + u_i)) ],
 
     u_i = M_ii^2 - 1 = ((dy_i - dx_i) / dx_i) (dy_i / dx_i + 1) for the
-    factor diagonals dx, dy.  Every term is >= 0 in floating point.  The strict
-    lower part of M comes from N = a^-1 b for the column-normalized factors
-    a = Lx / dx, b = Ly / dy, whose unit diagonals are never divided by: sx == sy
-    gives +0.0.  N is formed 64 rows at a time: a GEMM over the nonzero tiles of
-    the rows above (about m^3/3 flops), then one unit-diagonal BLAS triangular
-    solve against the 64 x 64 diagonal block (64^2 flops per column of the
-    block's rows); no inverse is formed.  At m = 512 that is 44 MFLOP of tiles
-    and 9.4 MFLOP of solves.  Each block is scaled to M and its squares summed
-    while in cache.  A diagonal sx makes a the identity, so N = b with no solve
-    (the solve's bits wherever b is finite).  An overflowing pivot ratio
-    dy_i / dx_i gives +inf, never NaN.
+    factor diagonals dx, dy.  Every term is >= 0 in floating point.  M = a^-1 b for
+    the factors' rows divided by dx, a = Lx / dx and b = Ly / dx: a's unit diagonal
+    is never divided by, and sx == sy makes a and b the same array, so it gives +0.0.
+    The intermediates are a, b and partial sums of M's entries, so one overflows only
+    where M does.  M is formed 64 rows at a time: a GEMM over the nonzero tiles of the
+    rows above (about m^3/3 flops), then one unit-diagonal BLAS triangular solve
+    against the 64 x 64 diagonal block (64^2 flops per column of the block's rows); no
+    inverse is formed.  At m = 512 that is 44 MFLOP of tiles and 9.4 MFLOP of solves.
+    Each block's squares are summed while in cache.  A diagonal sx makes a the
+    identity, so M = b with no solve (the solve's bits wherever b is finite).  An
+    overflowing pivot ratio dy_i / dx_i gives +inf, never NaN.
     """
     if sx.dim != sy.dim:
         raise DimensionMismatch(f"covariance dims differ: {sx.dim} != {sy.dim}")

@@ -39,8 +39,8 @@ import numpy as np
 
 from .divergence import _diagonal_sum, _kl, diagonal_lower_bound, kl_diagonal, kl_gaussian
 from .estimators import GaussianModel, McEstimate, MixtureModel, build_matched_mixture, mc_kl
-from .linalg import (DiagSpectrum, SpdMatrix, _certified, _check_dim, _diag_lower, _factor,
-                     _log_uniform, _random_symmetric)
+from .linalg import (DiagSpectrum, SpdMatrix, _certified, _check_dim, _check_integer,
+                     _diag_lower, _factor, _log_uniform, _random_symmetric)
 
 CLOSED_FORM_TOL = 1e-10
 MC_BAND_STDERRS = 4.0
@@ -180,9 +180,8 @@ def _block_dims(block_dims: Sequence[int]) -> list[int]:
 def _check_counts(trials: int, dim: int) -> None:
     # A campaign's trial count and dimension are integers (a bool is not one), checked before
     # any draw; dim < 1 is left to the draws.
-    for name, value in (("trials", trials), ("dim", dim)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _check_integer("trials", trials)
+    _check_integer("dim", dim)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 

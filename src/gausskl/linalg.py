@@ -225,6 +225,7 @@ def _certified(entries: np.ndarray, lower: np.ndarray) -> SpdMatrix:
 def _log_uniform(dim: int, rngs: list[np.random.Generator], log_lo: float,
                  log_hi: float) -> np.ndarray:
     # dim draws log-uniform in [exp(log_lo), exp(log_hi)], one row per generator.
+    _check_integer("dim", dim)
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     _check_dim(dim)  # the first draw of every random matrix and spectrum: refuse before drawing
@@ -250,6 +251,12 @@ def _random_symmetric(dim: int, rngs: list[np.random.Generator],
     # No column sign fix: it flips both q factors of a term of q diag(e) q.T, a bitwise no-op.
     a = (q * eigs[:, None, :]) @ q.swapaxes(-1, -2)
     return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _check_integer(name: str, value: int) -> None:
+    # A count or dimension is an integer, numpy's included; a bool is not one.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_dim(dim: int) -> None:
@@ -280,11 +287,14 @@ def read_matrix_csv(path) -> np.ndarray:
     One row per line, comma-separated decimal entries; whitespace-only lines and a leading
     UTF-8 byte-order mark are ignored.
     More than ``MAX_DIM`` rows, or a first row of more than ``MAX_DIM`` fields, raise
-    ValueError before numpy's ``loadtxt`` parses any.  Empty, ragged or non-numeric input
-    (underscore numerals included) raises MatrixParseError.
+    ValueError before numpy's ``loadtxt`` parses any.  Input that is not UTF-8 text, and
+    empty, ragged or non-numeric input (underscore numerals included), raise MatrixParseError.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        rows = [line for line in fh if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            rows = [line for line in fh if line.strip()]
+    except UnicodeDecodeError as exc:  # not UTF-8 text: a UTF-16 export, say
+        raise MatrixParseError(f"{path}: {exc}") from exc
     if not rows:
         raise MatrixParseError(f"{path}: no numeric rows found")
     _check_dim(max(len(rows), rows[0].count(",") + 1))

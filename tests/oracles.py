@@ -101,6 +101,18 @@ def kl_mpmath(sx, sy, dps: int = 60) -> float:
         return float((trace - m) / 2 - log_ratio)
 
 
+def covariance_mpmath(lower, dps: int = 60) -> np.ndarray:
+    """L L^T of a double factor at dps digits, as an array of mpmath numbers for kl_mpmath.
+
+    Each entry is a sum of exact products, so a factor whose rows are scaled far
+    outside the double range keeps its covariance, and kl_mpmath's Cholesky
+    factor of it is the given factor to about dps digits.
+    """
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(v) for v in row] for row in np.asarray(lower, dtype=float).tolist()]
+        return np.array([[mpmath.fdot(a, b) for b in rows] for a in rows], dtype=object)
+
+
 def weakly_correlated(m: int, rho: float, seed: int) -> np.ndarray:
     """A subject covariance with variances over e^+-3 and correlations rho * U(-1, 1).
 
@@ -170,29 +182,27 @@ def diagonal_sum_reference(vx, vy) -> float:
 def kl_factors_reference(lx, ly) -> float:
     """KL(y || x) from Cholesky factors by the row-block formula, every block solved.
 
-    N = a^-1 b for the column-normalized factors a = Lx / dx and b = Ly / dy,
-    64 rows at a time: W, rows i:k of b less numpy matmuls of a's rows with N's
-    nonzero 64-column tiles above (N is zero above its diagonal), then
-    N[i:k, :k] = a[i:k, i:k]^-1 W by scipy's BLAS ``dtrsm`` on W's transpose
-    (side right, upper, no transpose, unit diagonal).  Each block is scaled to
-    M = Lx^-1 Ly (by dy, then by dx) and its strict lower part's squares added,
-    one dot product per block in row-major order.  A stacked kernel must
-    reproduce it bit for bit.  BLAS's bits depend on its operands' layouts at
-    partial tiles, so every operand has the kernel's shape and strides.
+    M = Lx^-1 Ly = a^-1 b for the factors' rows divided by dx, a = Lx / dx and
+    b = Ly / dx, 64 rows at a time: W, rows i:k of b less numpy matmuls of a's rows
+    with M's nonzero 64-column tiles above (M is zero above its diagonal), then
+    M[i:k, :k] = a[i:k, i:k]^-1 W by scipy's BLAS ``dtrsm`` on W's transpose
+    (side right, upper, no transpose, unit diagonal).  Each block's strict lower
+    part's squares are added, one dot product per block in row-major order.  A
+    stacked kernel must reproduce it bit for bit.  BLAS's bits depend on its
+    operands' layouts at partial tiles, so every operand has the kernel's shape
+    and strides.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
     m = len(lx)
-    n, squares = np.empty((m, m)), 0.0
+    mat, squares = np.empty((m, m)), 0.0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i in range(0, m, 64):
             k = min(i + 64, m)
-            a, w = lx[i:k, :k] / dx[:k], ly[i:k, :k] / dy[:k]
+            a, w = lx[i:k, :k] / dx[i:k, None], ly[i:k, :k] / dx[i:k, None]
             for r in range(0, i, 64):
-                w[:, r:r + 64] -= a[:, r:i] @ n[r:i, r:r + 64]
+                w[:, r:r + 64] -= a[:, r:i] @ mat[r:i, r:r + 64]
             w = dtrsm(1.0, a[:, i:].T, w.T, side=1, lower=0, trans_a=0, diag=1).T
-            n[i:k, :k] = w
-            w *= dy[:k]
-            w /= dx[i:k, None]
+            mat[i:k, :k] = w
             w[:, i:][np.diag_indices(k - i)] = 0.0
             off = w.ravel()
             squares += float(off @ off)
@@ -202,13 +212,14 @@ def kl_factors_reference(lx, ly) -> float:
 
 
 def kl_factors_column_reference(lx, ly) -> float:
-    """KL(y || x) from the same N = a^-1 b, solved by column blocks: the all-solve formula.
+    """KL(y || x) from N = a^-1 b, solved by column blocks: the all-solve formula.
 
-    Block j:j+64 of N's columns by scipy ``solve_triangular`` (a left-side
-    solve) against a[j:, j:] on rows j:, so every flop is in the solve.  M = N *
-    dy / dx (rows by dx), its strict lower part's squares summed by one dot
-    product in column-major order, and the diagonal excess terms by ``np.sum``.
-    It shares no solve and no summation order with ``kl_factors_reference``.
+    a = Lx / dx and b = Ly / dy are the column-normalized factors.  Block
+    j:j+64 of N's columns by scipy ``solve_triangular`` (a left-side solve)
+    against a[j:, j:] on rows j:, so every flop is in the solve.  M = N * dy / dx
+    (rows by dx), its strict lower part's squares summed by one dot product in
+    column-major order, and the diagonal excess terms by ``np.sum``.  It shares
+    no normalization, solve or summation order with ``kl_factors_reference``.
     """
     dx, dy = np.diag(lx).copy(), np.diag(ly).copy()
     a, n = lx / dx, ly / dy
@@ -223,6 +234,29 @@ def kl_factors_column_reference(lx, ly) -> float:
     np.fill_diagonal(n, 0.0)
     off = n.ravel("F")
     return 0.5 * (float(off @ off) + float(terms.sum()))
+
+
+def kl_factors_longdouble(lx, ly) -> float:
+    """KL(y || x) from Cholesky factors by forward substitution in ``np.longdouble``.
+
+    M = Lx^-1 Ly row by row, then its strict lower part's squares and the diagonal
+    terms u - 2 ln|d| (d = M_ii, u = d^2 - 1), all in long double.  Where that is
+    the x87 format, its 11 more mantissa bits make it a truer reference than either
+    double formula, and its exponent range holds every product of double entries, so
+    the result is +inf exactly where the divergence exceeds the double range.  The
+    diagonal term is not taken from log1p(u), which a pivot ratio below 2^-32 would
+    round to log1p(-1).
+    """
+    lx, ly = np.asarray(lx, dtype=np.longdouble), np.asarray(ly, dtype=np.longdouble)
+    m = len(lx)
+    x = np.zeros((m, m), dtype=np.longdouble)
+    for i in range(m):
+        x[i, :i + 1] = (ly[i, :i + 1] - lx[i, :i] @ x[:i, :i + 1]) / lx[i, i]
+    d = np.diagonal(x).copy()
+    np.fill_diagonal(x, 0.0)
+    total = np.sum(x * x) + np.sum(d * d - 1.0 - 2.0 * np.log(np.abs(d)))
+    with np.errstate(over="ignore"):
+        return float(np.float64(0.5 * total))
 
 
 def p3_trial(dim: int, t_seed: int, condition_target: float) -> tuple:

@@ -156,6 +156,19 @@ class TestKlCommand:
         assert code == 2
         assert "MatrixParseError" in err
 
+    @pytest.mark.parametrize("content", [
+        "1.0,0.0\n0.0,1.0\n".encode("utf-16"),  # BOM FF FE, then two bytes a character
+        b"\xff\n",
+    ], ids=["utf16", "lone_0xff"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, content):
+        x = tmp_path / "x.csv"
+        x.write_bytes(content)
+        y = tmp_path / "y.csv"
+        write_csv(y, [[1, 0], [0, 1]])
+        code, out, err = run(capsys, "kl", "--x", str(x), "--y", str(y))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: MatrixParseError: {x}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("dx, dy", [(2, 3), (3, 2)])
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys, dx, dy):
         x = tmp_path / "x.csv"

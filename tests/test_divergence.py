@@ -25,10 +25,10 @@ from gausskl import divergence, linalg
 from gausskl.harness import CLOSED_FORM_TOL, _generators, derive_seed
 from gausskl.linalg import _factor, _random_symmetric
 
-from oracles import (det2, diagonal_sum_reference, entropy_quad, excess_series,
-                     kl_determinant_route, kl_factors_column_reference, kl_factors_reference,
-                     kl_mpmath, kl_scalar_quad, log_uniform_spectrum, total_correlation,
-                     weakly_correlated)
+from oracles import (covariance_mpmath, det2, diagonal_sum_reference, entropy_quad,
+                     excess_series, kl_determinant_route, kl_factors_column_reference,
+                     kl_factors_longdouble, kl_factors_reference, kl_mpmath, kl_scalar_quad,
+                     log_uniform_spectrum, total_correlation, weakly_correlated)
 
 
 def spectrum(*variances):
@@ -432,17 +432,21 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("m", [*range(1, 65), 65, 71, 128, 130, 193, 200, 256, 449, 512])
     def test_row_and_column_references_agree(self, m):
-        # The row-block reference against the column-block one: a right-side and a
-        # left-side solve, summed in different orders, within 4 ulp here (at most 8
-        # over m = 1..64 and 65..512 in steps of 16, cond 1e2..1e6, 2 pairs each).
-        bound = 4
+        # The row-block reference (the kernel's bits) and the column-block one, each held to
+        # a long-double forward substitution: a right-side and a left-side solve, summed in
+        # different orders.  Measured on these draws at one OpenBLAS thread: row at most 3 ulp
+        # off it (at m = 21, 27 and 51; 1 past 64), column at most 5 (at m = 449).
+        if np.finfo(np.longdouble).nmant < 63:
+            pytest.skip("long double is no wider than double here")
         for i in range(2):
             sy = random_spd(m, derive_seed(m, 80 + i), 1e4)
             for sx in (random_spd(m, derive_seed(m, 90 + i), 1e4),
                        random_diag_spectrum(m, derive_seed(m, 100 + i)).as_matrix()):
+                true = kl_factors_longdouble(sx.lower, sy.lower)
                 row = kl_factors_reference(sx.lower, sy.lower)
                 column = kl_factors_column_reference(sx.lower, sy.lower)
-                assert abs(row - column) <= bound * np.spacing(max(row, column)), (row, column)
+                assert abs(row - true) <= 3 * np.spacing(true), (row, true)
+                assert abs(column - true) <= 5 * np.spacing(true), (column, true)
 
     def test_overflow_in_the_last_row_block_as_a_stack(self):
         # m = 130 is three row blocks.  A pivot ratio dy / dx of 1e310 in the last
@@ -494,7 +498,7 @@ class TestBlockSolveAccuracy:
     # _kl solves each 64-row block against its diagonal block from the right and
     # sums M block by block; the result is held to the column-block all-solve
     # formula (oracles.kl_factors_column_reference), which solves from the left
-    # and sums in column-major order, and to mpmath.
+    # and sums in column-major order, to mpmath and to a long-double solve.
 
     @pytest.mark.parametrize("m", [65, 128, 129, 256, 512])
     def test_within_bound_of_the_all_solve_formula(self, m):
@@ -518,9 +522,10 @@ class TestBlockSolveAccuracy:
 
     @pytest.mark.parametrize("m", [65, 130])
     def test_factor_columns_scaled_by_2_to_the_500(self, m):
-        # Columns scaled by 2**500 and 2**-500 in turn: the column-normalized
-        # factors keep their bits and the pivot ratios overflow, so the result is
-        # +inf where the all-solve formula's is, else finite; never NaN, no warning.
+        # Columns scaled by 2**500 and 2**-500 in turn: M's entries move by up to 2**±1000
+        # and the row-normalized factors' by their columns' scaling ratios, so the result
+        # is +inf where M's squares overflow, as the all-solve formula's is, else finite;
+        # never NaN, no warning.
         lx = random_spd(m, derive_seed(m, 50), 1e4).lower
         ly = random_spd(m, derive_seed(m, 51), 1e4).lower
         d = 2.0 ** np.where(np.arange(m) % 2 == 0, 500, -500)
@@ -536,10 +541,47 @@ class TestBlockSolveAccuracy:
             True, True, False, False, False]
         assert np.all(np.abs(values[2:] - solved[2:]) <= 16 * np.finfo(float).eps * values[2:])
 
+    @staticmethod
+    def row_scaled(m, k, p):
+        # Pair p's factors at dimension m, each row scaled by its own power of two in 2^±k.
+        rng = np.random.default_rng(derive_seed(m, 3000 + k + p))
+        return [random_spd(m, derive_seed(m, 1000 * q + p), 1e4).lower
+                * 2.0 ** rng.integers(-k, k + 1, size=(m, 1)) for q in (1, 2)]
+
+    def test_row_scaled_factors(self):
+        # Rows scaled by powers of two: dividing both factors' rows by dx cancels Lx's
+        # scalings, and the intermediates are partial sums of M's entries, so the result is
+        # +inf exactly where the divergence exceeds the double range and otherwise within
+        # 1e-12 of the reference; never NaN, and no warning.
+        def values(pairs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return divergence._kl(np.stack([a for a, _ in pairs]),
+                                      np.stack([b for _, b in pairs])).tolist()
+
+        def agree(value, true):
+            return value == true if math.isinf(true) else abs(value - true) <= 1e-12 * true
+
+        # Opposite scalings by 2^±500: M's diagonal, and so the divergence, overflows.
+        for m in (8, 64, 65, 130):
+            lx, ly = (random_spd(m, derive_seed(m, 50 + q), 1e4).lower for q in (0, 1))
+            d = 2.0 ** np.where(np.arange(m) % 2 == 0, 500, -500)[:, None]
+            assert values([(lx * d, ly / d)]) == [math.inf], m
+        # Independent scalings: mpmath on the factors' exact covariances at m = 2..8, the
+        # long-double forward substitution, whose exponent range holds M, at m = 65 and 130.
+        wide = np.finfo(np.longdouble).nmant >= 63
+        for m in [*range(2, 9), *((65, 130) if wide else ())]:
+            for k in (100, 250, 510):
+                pairs = [self.row_scaled(m, k, p) for p in range(9 if m <= 8 else 4)]
+                for (lx, ly), value in zip(pairs, values(pairs)):
+                    true = (kl_mpmath(covariance_mpmath(lx), covariance_mpmath(ly)) if m <= 8
+                            else kl_factors_longdouble(lx, ly))
+                    assert agree(value, true), (m, k, value, true)
+
 
 class TestDiagonalReference:
-    # When every lx slice is diagonal, _kl takes N = b and makes no solve: a solve
-    # against the identity subtracts only 0 * N terms, so the bits are the solve's.
+    # When every lx slice is diagonal, _kl takes M = b = Ly / dx and makes no solve: a
+    # solve against the identity subtracts only 0 * M terms, so the bits are the solve's.
 
     @staticmethod
     def diagonal(m, seed):
@@ -582,16 +624,17 @@ class TestDiagonalReference:
         assert len(calls) == 3 * -(-m // 64)
 
     def test_overflowing_column_ratio_is_never_nan(self):
-        # A subnormal first pivot under a row of variance 2**1000: b = Ly / dy overflows in
-        # column 0 while M = Lx^-1 Ly stays finite (the divergence is about 5.36e300).  A
-        # solve gave NaN from 0 * inf; N = b keeps +inf.
+        # A subnormal first pivot under a row of variance 2**1000: Ly's column 0 divided by
+        # that pivot overflows, but against the identity M = Ly / dx = Ly is finite, and so
+        # is the divergence: mpmath gives 5.357543035931337e+300.
         c = 0.5 * 2.0 ** -30
         sy = validate_spd(np.array([[2.0 ** -1060, c, 0.0], [c, 2.0 ** 1000, 0.0],
                                     [0.0, 0.0, 1.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value = kl_gaussian(validate_spd(np.eye(3)), sy)
-        assert not math.isnan(value) and value >= 5.35e300
+        true = 5.357543035931337e+300
+        assert abs(value - true) <= 2 * np.spacing(true), value
 
 
 class TestGaussianEntropy:

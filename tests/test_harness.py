@@ -296,6 +296,21 @@ class TestCountArguments:
         assert report == CAMPAIGNS[prop](2, 2)
         assert json.loads(report.to_json())["trials"] == 2
 
+    @pytest.mark.parametrize("dim", [True, np.True_, 2.0, "2"])
+    @pytest.mark.parametrize("draw", [lambda d: random_spd(d, 1, 10.0),
+                                      lambda d: random_diag_spectrum(d, 1)],
+                             ids=["random_spd", "random_diag_spectrum"])
+    def test_public_draws_refuse_a_non_integer_dim(self, draw, dim):
+        # The campaigns' check, made by the first draw of both.
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            draw(dim)
+
+    def test_public_draws_take_a_numpy_integer_dim(self):
+        assert random_spd(np.int32(3), 1, 10.0).entries.tobytes() == \
+            random_spd(3, 1, 10.0).entries.tobytes()
+        assert random_diag_spectrum(np.int64(3), 1).variances.tobytes() == \
+            random_diag_spectrum(3, 1).variances.tobytes()
+
 
 class TestViolationCounting:
     def test_shifted_bound_violates_every_p3_trial(self, monkeypatch):
